@@ -29,8 +29,12 @@ type t = {
           freezing its batch: it keeps polling while announcements still
           arrive, up to this total. A longer wait lets more operations
           join the batch, raising the elimination and combining degrees
-          (paper, Section 3.1). [0] freezes immediately (the ablation
-          benchmark uses this). *)
+          (paper, Section 3.1). The wait opens with a probe of
+          [max 512 (freeze_backoff / 32)] units, cut to a single unit
+          when the same thread froze the aggregator's previous batch
+          with at most one operation in it (a thread alone on its
+          aggregator); see [Sec_stack.freezer_backoff]. [0] freezes
+          immediately (the ablation benchmark uses this). *)
   collect_stats : bool;
       (** Record per-batch statistics (batching degree, %eliminated,
           %combined — Tables 1–3). Costs a few striped-counter updates per

@@ -79,6 +79,10 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
         (* combined pops done reading [substack]; the last one may
            recycle the detached chain (only touched with
            [Config.recycle_nodes]) *)
+    prev_degree : int;
+        (* operations frozen into the batch this one replaced
+           ([unknown_degree] for an aggregator's first batch) *)
+    prev_freezer : int; (* tid that froze the batch this one replaced *)
   }
 
   type 'a aggregator = { batch : 'a batch A.t }
@@ -111,7 +115,11 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
 
   let name = "SEC"
 
-  let make_batch capacity =
+  (* Degree recorded in an aggregator's first batch: no predecessor was
+     observed, so its freezer takes the full initial probe. *)
+  let unknown_degree = max_int
+
+  let make_batch capacity ~prev_degree ~prev_freezer =
     {
       push_count = A.make_padded 0;
       pop_count = A.make_padded 0;
@@ -125,6 +133,8 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
       batch_applied = A.make_padded false;
       substack = A.make_padded None;
       consumed = A.make_padded 0;
+      prev_degree;
+      prev_freezer;
     }
 
   let create_with ~config ?(max_threads = 64) () =
@@ -143,7 +153,12 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
       top = A.make_padded None;
       aggregators =
         Array.init config.Config.num_aggregators (fun _ ->
-            { batch = A.make_padded (make_batch max_threads) });
+            {
+              batch =
+                A.make_padded
+                  (make_batch max_threads ~prev_degree:unknown_degree
+                     ~prev_freezer:(-1));
+            });
       capacity = max_threads;
       config;
       stats =
@@ -231,21 +246,42 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
         A.set t.active (k - 1)
     end
 
+  (* The freezer's first probe, in relax units. A thread that froze its
+     aggregator's previous batch alone skips it ([probe_skipped]); see
+     [freezer_backoff] and [pace]. *)
+  let full_probe t = max 512 (t.config.Config.freeze_backoff / 32)
+
+  let probe_skipped t ~tid batch =
+    t.config.Config.freeze_backoff > 0
+    && batch.prev_degree <= 1
+    && batch.prev_freezer = tid
+
   (* The freezer lingers so more operations join the batch, raising the
      elimination/combining degree (paper, Section 3.1). The wait is
-     adaptive: poll the announcement counters and keep waiting while the
-     batch is still growing, up to [freeze_backoff] relax units in total —
-     so a lone thread freezes almost immediately while a busy aggregator
-     gathers a full batch. *)
-  let freezer_backoff t batch =
+     adaptive, both before and during the probe (cf. the per-operation
+     adaptation in "A Dynamic Elimination-Combining Stack Algorithm",
+     PAPERS.md): its first probe is sized from what the aggregator's
+     previous batch saw, and past the probe the freezer keeps waiting
+     only while the batch is still growing, up to [freeze_backoff] relax
+     units in total. *)
+  let freezer_backoff t ~tid batch =
     let budget = t.config.Config.freeze_backoff in
     if budget > 0 then begin
-      (* Short initial probe: a lone thread freezes almost immediately.
-         If anything else announced during it, keep extending in windows
-         long enough to cover a contended cross-socket announce — or a
-         thread whose fetch&increment queues behind a few others misses
-         every batch's window and starves. *)
-      let initial = max 512 (budget / 32) in
+      (* Initial probe. If this thread froze the previous batch alone, it
+         is most likely still alone on its aggregator, so one relax unit
+         replaces the 512-unit probe that would otherwise be nearly all
+         of a lone thread's operation. The same-[tid] test matters: two
+         threads alternating on one aggregator also leave batches of
+         degree 1, each frozen by the other thread, and there the full
+         probe is what lets them meet in one batch. The one unit is kept
+         rather than none because it is still a yield (in the simulator,
+         a scheduling point): an announcer already on its way can land,
+         and the freezer then extends below as before. *)
+      let initial = if probe_skipped t ~tid batch then 1 else full_probe t in
+      (* If anything else announced during the probe, keep extending in
+         windows long enough to cover a contended cross-socket announce —
+         or a thread whose fetch&increment queues behind a few others
+         misses every batch's window and starves. *)
       let extension = max 1024 (budget / 8) in
       let announced () = A.get batch.push_count + A.get batch.pop_count in
       P.relax initial;
@@ -264,7 +300,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     end
 
   let freeze_batch t ~tid aggregator batch =
-    freezer_backoff t batch;
+    freezer_backoff t ~tid batch;
     (* When more live threads than [max_threads] announce into one batch,
        the counters race past [capacity]. Announcements at or past it own
        no elimination slot (the push path bails out before depositing), so
@@ -281,8 +317,11 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     A.set batch.push_at_freeze pushes;
     record_batch_stats t ~tid ~pushes ~pops;
     if t.config.Config.adaptive then adapt t ~ops:(pushes + pops);
-    (* Installing the new batch is what releases the waiting announcers. *)
-    A.set aggregator.batch (make_batch t.capacity)
+    (* Installing the new batch is what releases the waiting announcers;
+       it carries this batch's degree and freezer to its own freezer's
+       initial probe. *)
+    A.set aggregator.batch
+      (make_batch t.capacity ~prev_degree:(pushes + pops) ~prev_freezer:tid)
 
   (* Announce via FAA, then either freeze (if we won the seq-0 test&set
      race) or wait until the freezer retires the batch. Returns true when
@@ -310,7 +349,33 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     | Some n -> n
     | None -> assert false
 
-  let push_to_stack t batch ~seq =
+  (* Combiners retry immediately at first: there are at most K of them,
+     an entire batch of waiters stalls while one dawdles, and backing off
+     after a failed CAS just surrenders the loser's place behind a stream
+     of fresh combiners. Past [patience] consecutive failures a combiner
+     waits a random part of the full probe before each retry:
+     - after one failure if its own freeze skipped the probe: the probe
+       also spaced such threads' CASes on [top], and without it four
+       threads each alone on one of four aggregators fail about eight
+       CASes per operation in the simulator;
+     - after three failures otherwise: a thread briefly alone on its
+       aggregator can land its short operations between the other
+       combiners' reads and CASes in lockstep, which starved every big
+       batch for most of one simulated push-only run. *)
+  let patience t ~tid batch = if probe_skipped t ~tid batch then 1 else 3
+
+  let pace t ~patience ~failed =
+    if failed >= patience then P.relax (1 + P.rand_int (full_probe t))
+
+  let rec push_attempt t bottom substack ~patience ~failed =
+    let current_top = A.get t.top in
+    bottom.next <- current_top;
+    if not (A.compare_and_set t.top current_top (Some substack)) then begin
+      pace t ~patience ~failed;
+      push_attempt t bottom substack ~patience ~failed:(failed + 1)
+    end
+
+  let push_to_stack t ~tid batch ~seq =
     let push_frozen = A.get batch.push_at_freeze in
     (* Link the surviving pushes [seq .. push_frozen) into a substack:
        higher sequence numbers end up nearer the top. *)
@@ -321,49 +386,37 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
       n.next <- Some !top_of_substack;
       top_of_substack := n
     done;
-    (* Combiners retry immediately: there are at most K of them, an entire
-       batch of waiters stalls while one dawdles, and backing off after a
-       failed CAS just surrenders the loser's place behind a stream of
-       fresh combiners. *)
-    let rec attempt () =
-      (let current_top = A.get t.top in
-       bottom.next <- current_top;
-       if not (A.compare_and_set t.top current_top (Some !top_of_substack))
-       then attempt ())
-      [@await_ok
-        "a failed CAS means another combiner landed its whole batch; at \
-         most K combiners compete, so retrying bare is the right call"]
-    in
-    attempt ()
+    push_attempt t bottom !top_of_substack ~patience:(patience t ~tid batch)
+      ~failed:0
 
   (* ------------------------------------------------------------------ *)
   (* Combining for pops (paper: PopFromStack + GetValue, lines 80–103)   *)
 
-  let pop_from_stack t batch ~seq =
-    let pop_frozen = A.get batch.pop_at_freeze in
-    let to_remove = pop_frozen - seq in
-    let rec attempt () =
-      let current_top = A.get t.top in
-      (* Walk down min(to_remove, depth) nodes; the remainder of the batch
-         will observe an empty stack. *)
-      let rec walk node k =
-        if k = 0 then node
-        else match node with None -> None | Some n -> walk n.next (k - 1)
-      in
-      let new_top = walk current_top to_remove in
-      (if A.compare_and_set t.top current_top new_top then
-         A.set batch.substack
-           (* [Pop_reorder] is the seeded mutant publishing the remaining
-              stack instead of the detached chain (Config.mutation —
-              refinement-prong tests only). *)
-           (if t.config.Config.mutation = Config.Pop_reorder then new_top
-            else current_top)
-       else attempt ())
-      [@await_ok
-        "a failed CAS means another combiner landed its whole batch; at \
-         most K combiners compete, so retrying bare is the right call"]
+  let rec pop_attempt t batch to_remove ~patience ~failed =
+    let current_top = A.get t.top in
+    (* Walk down min(to_remove, depth) nodes; the remainder of the batch
+       will observe an empty stack. *)
+    let rec walk node k =
+      if k = 0 then node
+      else match node with None -> None | Some n -> walk n.next (k - 1)
     in
-    attempt ()
+    let new_top = walk current_top to_remove in
+    if A.compare_and_set t.top current_top new_top then
+      A.set batch.substack
+        (* [Pop_reorder] is the seeded mutant publishing the remaining
+           stack instead of the detached chain (Config.mutation —
+           refinement-prong tests only). *)
+        (if t.config.Config.mutation = Config.Pop_reorder then new_top
+         else current_top)
+    else begin
+      pace t ~patience ~failed;
+      pop_attempt t batch to_remove ~patience ~failed:(failed + 1)
+    end
+
+  let pop_from_stack t ~tid batch ~seq =
+    let pop_frozen = A.get batch.pop_at_freeze in
+    pop_attempt t batch (pop_frozen - seq) ~patience:(patience t ~tid batch)
+      ~failed:0
 
   let get_value batch ~offset =
     let rec walk node k =
@@ -443,7 +496,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
           if seq >= pop_frozen then
             (* Not eliminated; the smallest surviving push combines. *)
             if seq = pop_frozen then begin
-              push_to_stack t batch ~seq;
+              push_to_stack t ~tid batch ~seq;
               A.set batch.batch_applied true
             end
             else Backoff.spin_until (fun () -> A.get batch.batch_applied)
@@ -475,7 +528,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
         end
         else begin
           if seq = push_frozen then begin
-            pop_from_stack t batch ~seq;
+            pop_from_stack t ~tid batch ~seq;
             A.set batch.batch_applied true
           end
           else Backoff.spin_until (fun () -> A.get batch.batch_applied);

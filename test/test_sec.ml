@@ -298,6 +298,117 @@ let test_tid_to_aggregator_coverage () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Freezer's initial probe                                              *)
+
+module SP = Sec_sim.Sim.Prim
+module SimSec = Sec_core.Sec_stack.Make (SP)
+
+(* A freezer that froze the aggregator's previous batch alone probes for
+   one relax unit instead of 512. One simulated fiber alternating
+   push/pop used to spend ~610 virtual cycles per operation, 512 of them
+   in that probe; the bound below is under the probe alone. *)
+let test_lone_fiber_skips_probe () =
+  let ops = 500 in
+  let cycles, _ =
+    Sec_sim.Sim.run ~seed:1 ~topology:Sec_sim.Topology.emerald (fun () ->
+        let s = SimSec.create_with ~config:Config.default ~max_threads:1 () in
+        let elapsed = ref 0L in
+        Sec_sim.Sim.spawn (fun () ->
+            let start = SP.now_ns () in
+            for i = 1 to ops do
+              SimSec.push s ~tid:0 i;
+              ignore (SimSec.pop s ~tid:0)
+            done;
+            elapsed := Int64.sub (SP.now_ns ()) start);
+        Sec_sim.Sim.await_all ();
+        Int64.to_int !elapsed)
+  in
+  let per_op = cycles / (2 * ops) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d virtual cycles/op under 150" per_op)
+    true (per_op < 150)
+
+(* Under contention the previous batch's degree is far above 1, so every
+   freezer keeps the full probe and gathers the same batches as before.
+   56 fibers on emerald at 50/50 (perfbench's sim-update shape), 200k
+   cycles, seed 1, batched 27.149 operations per batch before the gate
+   existed. *)
+let test_contended_degree_kept () =
+  let st =
+    Sec_harness.Sim_runner.run_sec_stats ~config:Config.default
+      ~topology:Sec_sim.Topology.emerald ~threads:56 ~duration_cycles:200_000
+      ~mix:Sec_harness.Workload.update_heavy ~seed:1 ()
+  in
+  let degree = Stats.batching_degree st in
+  Alcotest.(check bool)
+    (Printf.sprintf "batching degree %.3f within 1%% of 27.149" degree)
+    true
+    (Float.abs (degree -. 27.149) <= 0.01 *. 27.149)
+
+(* Four fibers, each alone on one of four aggregators, all skip the
+   probe and meet only at [top]. Without the paced retry their combiners
+   fail about eight CASes per operation and the run drops to ~9.4 Mops/s
+   (16.4 with the probe on every operation); pacing keeps it near 14.7. *)
+let test_lone_combiners_paced () =
+  let e = Sec_harness.Registry.sec_with ~aggregators:4 ~label:"SEC_Agg4" () in
+  List.iter
+    (fun seed ->
+      let m =
+        Sec_harness.Sim_runner.run e.Sec_harness.Registry.maker
+          ~topology:Sec_sim.Topology.emerald ~threads:4
+          ~duration_cycles:300_000 ~mix:Sec_harness.Workload.update_heavy
+          ~seed ()
+      in
+      let mops = m.Sec_harness.Measurement.mops in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: %.2f Mops/s at least 12" seed mops)
+        true (mops >= 12.))
+    [ 1; 2; 3 ]
+
+(* Push-only, 28 fibers, default configuration: a fiber briefly alone on
+   its aggregator skips the probe, and its short operations used to land
+   between the big batches' combiners' reads and CASes in lockstep,
+   dropping this point from 17.6 Mops/s (probe on every operation) to
+   11.0. Combiners that keep failing now pace their retries. *)
+let test_push_only_lockstep_broken () =
+  let m =
+    Sec_harness.Sim_runner.run Sec_harness.Registry.sec.Sec_harness.Registry.maker
+      ~topology:Sec_sim.Topology.emerald ~threads:28 ~duration_cycles:300_000
+      ~mix:Sec_harness.Workload.push_only ~seed:1 ()
+  in
+  let mops = m.Sec_harness.Measurement.mops in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f Mops/s at least 15" mops)
+    true (mops >= 15.)
+
+(* Two domains alternating push/pop on one aggregator: each batch usually
+   holds one operation, but consecutive batches have different freezers,
+   so the full probe stays in force where the two can meet. The recorded
+   histories must stay linearizable. *)
+let test_alternating_pair_linearizable () =
+  let module I = Sec_spec.History.Instrument (P) (Sec_agg1) in
+  let rounds = 20 and pairs = 6 in
+  let gave_up = ref 0 in
+  for round = 1 to rounds do
+    let t = I.create ~max_threads:2 () in
+    let body tid () =
+      for i = 1 to pairs do
+        I.push t ~tid (Testkit.tag ~tid ((round * 100) + i));
+        ignore (I.pop t ~tid)
+      done
+    in
+    let d = Domain.spawn (body 1) in
+    body 0 ();
+    Domain.join d;
+    match Sec_spec.Lin_check.check (Sec_spec.History.events t.history) with
+    | Sec_spec.Lin_check.Linearizable -> ()
+    | Sec_spec.Lin_check.Gave_up -> incr gave_up
+    | Sec_spec.Lin_check.Not_linearizable ->
+        Alcotest.failf "round %d NOT linearizable" round
+  done;
+  Alcotest.(check bool) "some round concluded" true (!gave_up < rounds)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "sec"
@@ -328,6 +439,19 @@ let () =
           Alcotest.test_case "elimination under symmetry" `Quick
             test_stats_elimination_under_symmetry;
           Alcotest.test_case "helpers" `Quick test_stats_helpers;
+        ] );
+      ( "freeze probe",
+        [
+          Alcotest.test_case "lone fiber skips the probe" `Quick
+            test_lone_fiber_skips_probe;
+          Alcotest.test_case "contended degree kept" `Quick
+            test_contended_degree_kept;
+          Alcotest.test_case "lone combiners paced" `Quick
+            test_lone_combiners_paced;
+          Alcotest.test_case "push-only lockstep broken" `Quick
+            test_push_only_lockstep_broken;
+          Alcotest.test_case "alternating pair linearizable" `Quick
+            test_alternating_pair_linearizable;
         ] );
       ( "homogeneous workloads",
         [
