@@ -280,9 +280,9 @@ let bench_cmd =
       (fun (r : J.row) ->
         Printf.printf
           "  %-10s t=%d  ops=%-7d allocs=%-8d throughput=%.6f hit_rate=%.2f \
-           depot_cas=%-6d slab_cas=%-6d\n"
+           slab_cas=%-6d\n"
           r.J.algorithm r.J.threads r.J.ops r.J.allocs r.J.throughput
-          r.J.mag_hit_rate r.J.depot_cas r.J.slab_cas)
+          r.J.mag_hit_rate r.J.slab_cas)
       doc.J.rows;
     Option.iter
       (fun path ->
@@ -524,11 +524,9 @@ let check_cmd =
       const run $ seeds_arg $ budget_arg $ mutants_arg $ entries_arg
       $ witness_dir_arg $ schedules_arg $ runs_arg)
 
-(* Allocator microbenchmark: the node hot path in isolation — depot vs
-   slab vs off-heap arena, local round-trips and cross-domain
-   (producer/consumer) frees, on either substrate. The table this
-   prints is the evidence for the ISSUE's acceptance bar: the slab
-   modes must issue strictly fewer cross-domain CASes than the depot
+(* Allocator microbenchmark: the node hot path in isolation — the
+   magazine over its wait-free slab store, local round-trips and
+   cross-domain (producer/consumer) frees, on either substrate
    (docs/PERF.md, "Allocator"). *)
 let alloc_cmd =
   let module AB = Sec_harness.Alloc_bench in
@@ -555,18 +553,10 @@ let alloc_cmd =
     Arg.(value & opt int AB.default_burst & info [ "burst" ] ~docv:"N" ~doc)
   in
   let run seed backend threads iters burst =
-    let measure ~mode ~phase =
+    let measure phase =
       match backend with
-      | `Sim -> AB.run_sim ~threads ~iters ~burst ~seed ~mode ~phase ()
-      | `Native -> AB.run_native ~threads ~iters ~burst ~seed ~mode ~phase ()
-    in
-    let results =
-      List.concat_map
-        (fun phase ->
-          List.map
-            (fun mode -> measure ~mode ~phase)
-            [ AB.Depot; AB.Slab; AB.Arena ])
-        [ AB.Local; AB.Remote ]
+      | `Sim -> AB.run_sim ~threads ~iters ~burst ~seed ~phase ()
+      | `Native -> AB.run_native ~threads ~iters ~burst ~seed ~phase ()
     in
     let backend_label =
       match backend with `Sim -> "sim" | `Native -> "native"
@@ -574,42 +564,23 @@ let alloc_cmd =
     Printf.printf
       "alloc bench [%s, %d threads, %d iters x %d burst, seed %d]\n"
       backend_label threads iters burst seed;
-    Printf.printf "  %-7s %-7s %9s %14s %10s %8s %7s %8s %5s\n" "phase"
-      "mode" "ops" "per-op" "cross-CAS" "retries" "fresh" "batches" "occ";
-    List.iter
-      (fun (r : AB.result) ->
-        Printf.printf "  %-7s %-7s %9d %14s %10d %8d %7d %8d %5.2f\n"
-          (AB.phase_to_string r.AB.r_phase)
-          (AB.mode_to_string r.AB.r_mode)
-          r.AB.ops
-          (Printf.sprintf "%.1f %s" r.AB.per_op r.AB.unit_label)
-          r.AB.cross_cas r.AB.cross_cas_retries r.AB.fresh r.AB.remote_batches
-          r.AB.occupancy)
-      results;
-    (* The acceptance comparison, stated explicitly per phase. *)
+    Printf.printf "  %-7s %9s %14s %10s %8s %7s %5s\n" "phase" "ops" "per-op"
+      "cross-CAS" "retries" "fresh" "occ";
     List.iter
       (fun phase ->
-        let cas mode =
-          let r =
-            List.find
-              (fun (r : AB.result) -> r.AB.r_mode = mode && r.AB.r_phase = phase)
-              results
-          in
-          r.AB.cross_cas
-        in
-        let d = cas AB.Depot and s = cas AB.Slab in
-        Printf.printf "  %s: slab %d vs depot %d cross-domain CASes -> %s\n"
-          (AB.phase_to_string phase)
-          s d
-          (if s < d then "slab strictly fewer (ok)"
-           else "slab NOT fewer (investigate)"))
+        let r = measure phase in
+        Printf.printf "  %-7s %9d %14s %10d %8d %7d %5.2f\n"
+          (AB.phase_to_string r.AB.r_phase)
+          r.AB.ops
+          (Printf.sprintf "%.1f %s" r.AB.per_op r.AB.unit_label)
+          r.AB.cross_cas r.AB.cross_cas_retries r.AB.fresh r.AB.occupancy)
       [ AB.Local; AB.Remote ]
   in
   Cmd.v
     (Cmd.info "alloc"
        ~doc:
-         "Microbenchmark the node allocators (depot vs slab vs off-heap \
-          arena): alloc/free round-trip cost, remote-free throughput and \
+         "Microbenchmark the node allocator (magazines over the slab \
+          store): alloc/free round-trip cost, remote-free throughput and \
           cross-domain CAS counts")
     Term.(
       const run $ seed_arg $ backend_arg $ threads_arg $ iters_arg $ burst_arg)
@@ -619,8 +590,7 @@ let algos_cmd =
     List.iter
       (fun (e : Sec_harness.Registry.entry) ->
         Printf.printf "%s\n" e.Sec_harness.Registry.name)
-      (Sec_harness.Registry.all @ Sec_harness.Registry.slab_set
-     @ Sec_harness.Registry.sec_aggregator_sweep)
+      (Sec_harness.Registry.all @ Sec_harness.Registry.sec_aggregator_sweep)
   in
   Cmd.v
     (Cmd.info "algos" ~doc:"List available algorithm names")

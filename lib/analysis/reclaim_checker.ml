@@ -39,12 +39,6 @@
    - [Guard_leak]: a fiber finished while still inside a critical
      section, or exited a guard it never entered — the epoch would stay
      pinned forever.
-   - [Slab_double_free]: a slab/arena slot was freed while already on a
-     free-list — the allocator-level double-free (distinct from
-     [Double_retire], which is about the EBR protocol above it).
-   - [Alloc_from_live_slab]: an allocator handed out a slot that is
-     still live, or carved from a slab/arena already released — either
-     way two owners now hold the same storage.
 
    Node ids are assigned by the checker ([on_alloc]); id 0 means "not
    tracked" (allocated while no checker was installed) and is ignored by
@@ -60,8 +54,6 @@ type kind =
   | Recycle_of_live
   | Epoch_stalled
   | Guard_leak
-  | Slab_double_free
-  | Alloc_from_live_slab
 
 type report = {
   kind : kind;
@@ -99,17 +91,8 @@ type fiber_info = {
   mutable stall_reported : bool;  (** throttle: one stall per drain cycle *)
 }
 
-(* One slab (or arena slab) as the allocator below the node lifecycle
-   sees it: which slots are bound to live shadow-heap nodes, and whether
-   the slab's storage is still valid at all. *)
-type slab_info = {
-  mutable released : bool;
-  slots : (int, int) Hashtbl.t;  (** slot index -> live node id *)
-}
-
 type t = {
   nodes : (int, node_info) Hashtbl.t;
-  slabs : (int, slab_info) Hashtbl.t;
   fibers : (int, fiber_info) Hashtbl.t;
   mutable next_node : int;
   mutable seq : int;  (** global event counter ordering enters/retires *)
@@ -123,7 +106,6 @@ type t = {
 let create ?(max_reports = 64) ?(stall_bound = 64) ?(capture_sites = true) () =
   {
     nodes = Hashtbl.create 256;
-    slabs = Hashtbl.create 16;
     fibers = Hashtbl.create 16;
     next_node = 1;
     seq = 0;
@@ -336,79 +318,6 @@ let on_recycle t ~fiber ~node =
       Hashtbl.remove t.nodes node);
   on_alloc t ~fiber
 
-(* ------------------------------------------------------------------ *)
-(* Slab/arena lifecycle (lib/reclaim/slab.ml): the allocator below the
-   node lifecycle. A slot allocation starts a node life ([on_alloc]) and
-   binds the node to its (slab, slot); the free unbinds it and closes
-   the life ([on_reclaim] — tolerant from any state, exactly like a
-   direct destructor feed, because the EBR layer above already reported
-   any protocol violation). Releasing a slab invalidates its storage
-   wholesale: every still-bound node is forced to the reclaimed state so
-   later accesses surface as use-after-reclaim, and later allocations
-   from the slab are themselves reports. *)
-
-let slab_info t sid =
-  match Hashtbl.find_opt t.slabs sid with
-  | Some si -> si
-  | None ->
-      let si = { released = false; slots = Hashtbl.create 64 } in
-      Hashtbl.add t.slabs sid si;
-      si
-
-let on_slot_alloc t ~fiber ~slab ~slot =
-  let si = slab_info t slab in
-  if si.released then
-    report t ~kind:Alloc_from_live_slab ~node:0 ~fiber
-      ~detail:
-        (Printf.sprintf
-           "slot %d allocated from slab %d after the slab was released" slot
-           slab)
-      ();
-  (match Hashtbl.find_opt si.slots slot with
-  | None -> ()
-  | Some prev ->
-      report t ~kind:Alloc_from_live_slab ~node:prev ~fiber
-        ~detail:
-          (Printf.sprintf
-             "slot %d of slab %d handed out while still live: two owners now \
-              hold the same storage"
-             slot slab)
-        ());
-  let id = on_alloc t ~fiber in
-  Hashtbl.replace si.slots slot id;
-  id
-
-let on_slot_free t ~fiber ~slab ~slot =
-  t.seq <- t.seq + 1;
-  let si = slab_info t slab in
-  match Hashtbl.find_opt si.slots slot with
-  | None ->
-      report t ~kind:Slab_double_free ~node:0 ~fiber
-        ~detail:
-          (Printf.sprintf
-             "slot %d of slab %d freed while not live (double free, or free \
-              of a slot this slab never handed out)"
-             slot slab)
-        ()
-  | Some node ->
-      Hashtbl.remove si.slots slot;
-      on_reclaim t ~fiber ~node
-
-let on_slab_release t ~fiber:_ ~slab =
-  t.seq <- t.seq + 1;
-  let si = slab_info t slab in
-  si.released <- true;
-  Hashtbl.iter
-    (fun _slot node ->
-      match Hashtbl.find_opt t.nodes node with
-      | None -> ()
-      | Some n ->
-          (* The storage under the node is gone whatever protocol state
-             it was in; later touches are definitive use-after-free. *)
-          n.state <- Reclaimed)
-    si.slots;
-  Hashtbl.reset si.slots
-
 let on_access t ~fiber ~node =
   t.seq <- t.seq + 1;
   match Hashtbl.find_opt t.nodes node with
@@ -473,8 +382,6 @@ let kind_to_string = function
   | Recycle_of_live -> "recycle-of-live"
   | Epoch_stalled -> "epoch-stalled"
   | Guard_leak -> "guard-leak"
-  | Slab_double_free -> "slab-double-free"
-  | Alloc_from_live_slab -> "alloc-from-live-slab"
 
 let pp_report ppf r =
   if r.node = 0 then
@@ -538,21 +445,6 @@ let note_reclaim ~fiber ~node =
 let note_access ~fiber ~node =
   if node <> 0 then
     match !active with None -> () | Some t -> on_access t ~fiber ~node
-
-let note_slot_alloc ~fiber ~slab ~slot =
-  match !active with
-  | None -> 0
-  | Some t -> on_slot_alloc t ~fiber ~slab ~slot
-
-let note_slot_free ~fiber ~slab ~slot =
-  match !active with
-  | None -> ()
-  | Some t -> on_slot_free t ~fiber ~slab ~slot
-
-let note_slab_release ~fiber ~slab =
-  match !active with
-  | None -> ()
-  | Some t -> on_slab_release t ~fiber ~slab
 
 let note_enter ~fiber =
   match !active with None -> () | Some t -> on_enter t ~fiber

@@ -101,10 +101,10 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     capacity : int; (* elimination-array size = max_threads *)
     config : Config.t;
     stats : stats_counters option;
-    (* Zero-allocation hot path ([Config.recycle_nodes]); [recycle]
-       mirrors the config flag so the per-op branch is a plain read. *)
-    recycle : bool;
-    mag : 'a node Mag.t;
+    (* Zero-allocation hot path: [Some] only under
+       [Config.recycle_nodes], so a non-recycling stack builds no
+       allocator and the per-op branch is a plain read. *)
+    mag : 'a node Mag.t option;
     (* Contention-adaptive sharding ([Config.adaptive]): the number of
        aggregators announcements actually route to, moved between 1 and
        [Array.length aggregators] by the freeze-time controller. *)
@@ -172,16 +172,9 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
                excluded = Counter.create ();
              }
          else None);
-      recycle = config.Config.recycle_nodes;
-      (* [slab_nodes]/[offheap] route the magazines' slow path through
-         the wait-free slab store; SEC's polymorphic nodes themselves
-         stay on the OCaml heap (see Config.offheap). *)
       mag =
-        Mag.create ~max_threads
-          ~backing:
-            (if config.Config.slab_nodes || config.Config.offheap then `Slab
-             else `Depot)
-          ();
+        (if config.Config.recycle_nodes then Some (Mag.create ~max_threads ())
+         else None);
       (* Adaptive runs start consolidated (K = 1, the best single-thread
          setting) and grow under pressure; the field is untouched — and
          never read — without [Config.adaptive]. *)
@@ -431,16 +424,16 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
      read its value the chain can be recycled. Each reader bumps
      [batch.consumed] *after* its [get_value]; the one that brings it to
      the participant count walks the chain. [next] is read before the
-     node is recycled: a recycled node can be adopted (via a depot
-     overflow) and re-initialised by another thread immediately. *)
-  let recycle_chain t ~tid batch ~limit =
+     node is recycled: a recycled node can be adopted (via a parked
+     slab) and re-initialised by another thread immediately. *)
+  let recycle_chain mag ~tid batch ~limit =
     let rec walk node k =
       if k < limit then
         match node with
         | None -> () (* batch outran the stack: chain is shorter *)
         | Some n ->
             let next = n.next in
-            Mag.recycle t.mag ~tid n;
+            Mag.recycle mag ~tid n;
             walk next (k + 1)
     in
     walk (A.get batch.substack) 0
@@ -454,20 +447,20 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
      detached chain whose last reader recycled it after every [get_value]
      completed, so the in-place stores below race with nothing. *)
   let make_node t ~tid value =
-    if t.recycle then
-      match Mag.alloc t.mag ~tid with
-      | Some n ->
-          n.value <- value;
-          n.next <- None;
-          n
-      | None ->
-          P.note_alloc ();
-          ({ value; next = None }
-          [@fresh_ok "magazine miss: cold start or pop-starved run"])
-    else begin
-      P.note_alloc ();
-      ({ value; next = None } [@fresh_ok "recycling disabled in config"])
-    end
+    match t.mag with
+    | Some mag -> (
+        match Mag.alloc mag ~tid with
+        | Some n ->
+            n.value <- value;
+            n.next <- None;
+            n
+        | None ->
+            P.note_alloc ();
+            ({ value; next = None }
+            [@fresh_ok "magazine miss: cold start or pop-starved run"]))
+    | None ->
+        P.note_alloc ();
+        ({ value; next = None } [@fresh_ok "recycling disabled in config"])
 
   let push t ~tid value =
     let aggregator = aggregator_of t tid in
@@ -523,7 +516,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
              recycling on it goes straight back to a magazine. *)
           let n = node_of batch seq in
           let v = n.value in
-          if t.recycle then Mag.recycle t.mag ~tid n;
+          (match t.mag with Some mag -> Mag.recycle mag ~tid n | None -> ());
           Some v
         end
         else begin
@@ -533,14 +526,17 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
           end
           else Backoff.spin_until (fun () -> A.get batch.batch_applied);
           let v = get_value batch ~offset:(seq - push_frozen) in
-          (if t.recycle then
-             (* Participants in the combined phase are exactly the pops
-                with sequence numbers in [push_frozen, pop_frozen) — the
-                combiner included. The last to finish reading recycles
-                the detached chain. *)
-             let total = A.get batch.pop_at_freeze - push_frozen in
-             let finished = A.fetch_and_add batch.consumed 1 + 1 in
-             if finished = total then recycle_chain t ~tid batch ~limit:total);
+          (match t.mag with
+          | Some mag ->
+              (* Participants in the combined phase are exactly the pops
+                 with sequence numbers in [push_frozen, pop_frozen) — the
+                 combiner included. The last to finish reading recycles
+                 the detached chain. *)
+              let total = A.get batch.pop_at_freeze - push_frozen in
+              let finished = A.fetch_and_add batch.consumed 1 + 1 in
+              if finished = total then
+                recycle_chain mag ~tid batch ~limit:total
+          | None -> ());
           v
         end
       end
@@ -562,7 +558,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
       | None -> None
       | Some n as cur ->
           let v = n.value in
-          if (not t.recycle) || A.get t.top == cur then Some v
+          if Option.is_none t.mag || A.get t.top == cur then Some v
           else begin
             P.relax 1;
             attempt ()
@@ -586,9 +582,18 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
         }
 
   let config t = t.config
-  let magazine_stats t = Mag.stats t.mag
-  let magazine_hit_rate t = Mag.hit_rate t.mag
-  let slab_stats t = Mag.slab_stats t.mag
+  let magazine_stats t =
+    match t.mag with
+    | Some mag -> Mag.stats mag
+    | None -> Sec_reclaim.Magazine.empty_stats
+
+  let magazine_hit_rate t =
+    match t.mag with Some mag -> Mag.hit_rate mag | None -> 0.0
+
+  let slab_stats t =
+    match t.mag with
+    | Some mag -> Mag.slab_stats mag
+    | None -> Sec_reclaim.Slab.empty_stats
 
   (* Current depth of the shared stack; O(n), single snapshot of [top],
      for tests and examples only. *)

@@ -35,9 +35,9 @@ module Make (_ : Sec_prim.Prim_intf.S) : sig
       any operation ran. *)
   val magazine_hit_rate : 'a t -> float
 
-  (** Slab-store tallies behind the magazines; [None] unless created
-      with [Config.slab_nodes] (or [Config.offheap]). *)
-  val slab_stats : 'a t -> Sec_reclaim.Slab.stats option
+  (** Slab-store tallies behind the magazines (all zero unless created
+      with [Config.recycle_nodes]). *)
+  val slab_stats : 'a t -> Sec_reclaim.Slab.stats
 
   (** Number of nodes currently in the shared stack. O(n); takes a single
       snapshot of the top pointer — meant for tests and examples. *)

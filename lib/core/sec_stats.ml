@@ -50,27 +50,24 @@ let pp ppf t =
     (pct_combined t) t.excluded
 
 (* ------------------------------------------------------------------ *)
-(* Allocator statistics (PR 10): one flat snapshot over the process-wide
+(* Allocator statistics: one flat snapshot over the process-wide
    magazine and slab tallies, so the harness reports the whole node
-   path — L1 magazine hit rate, depot CAS traffic (with contended
-   retries), slab park/adopt traffic and occupancy, arena remote-free
-   batching — from a single call. [alloc_reset]/[alloc_snapshot]
-   bracket one measured run, like the underlying [Global] modules. *)
+   path — L1 magazine hit rate, slab park/adopt traffic (with lost
+   attempts) and occupancy — from a single call.
+   [alloc_reset]/[alloc_snapshot] bracket one measured run, like the
+   underlying [Global] modules. *)
 
 type alloc_stats = {
   mag_hits : int;
   mag_misses : int;
   mag_recycled : int;
   mag_hit_rate : float;
-  depot_cas : int;  (** depot CAS attempts (cross-domain) *)
-  depot_cas_retries : int;  (** attempts that lost and had to loop *)
   slab_parks : int;  (** full slabs parked on the shared partial stack *)
   slab_adopts : int;  (** parked slabs adopted by a dry domain *)
-  slab_cas : int;  (** slab-layer CAS attempts (park+adopt+remote) *)
+  slab_cas : int;  (** slab-layer CAS attempts (park + adopt) *)
   slab_cas_retries : int;  (** slab-layer attempts that lost *)
   slab_fresh : int;  (** slab misses: fresh-node construction *)
   slab_occupancy : float;  (** pooled / capacity over all slabs *)
-  remote_batches : int;  (** arena remote-free batches spliced *)
 }
 
 let alloc_reset () =
@@ -85,22 +82,18 @@ let alloc_snapshot () =
     mag_misses = m.Sec_reclaim.Magazine.Global.misses;
     mag_recycled = m.Sec_reclaim.Magazine.Global.recycled;
     mag_hit_rate = Sec_reclaim.Magazine.Global.hit_rate m;
-    depot_cas = m.Sec_reclaim.Magazine.Global.depot_cas;
-    depot_cas_retries = m.Sec_reclaim.Magazine.Global.depot_cas_retries;
     slab_parks = s.Sec_reclaim.Slab.Global.parks;
     slab_adopts = s.Sec_reclaim.Slab.Global.adopts;
     slab_cas = Sec_reclaim.Slab.Global.cas_attempts s;
     slab_cas_retries = Sec_reclaim.Slab.Global.cas_retries s;
     slab_fresh = s.Sec_reclaim.Slab.Global.fresh;
     slab_occupancy = Sec_reclaim.Slab.Global.occupancy s;
-    remote_batches = s.Sec_reclaim.Slab.Global.remote_batches;
   }
 
 let pp_alloc ppf a =
   Format.fprintf ppf
-    "mag hits=%d misses=%d recycled=%d hit_rate=%.2f | depot cas=%d \
-     retries=%d | slab parks=%d adopts=%d cas=%d retries=%d fresh=%d \
-     occupancy=%.2f | remote batches=%d"
-    a.mag_hits a.mag_misses a.mag_recycled a.mag_hit_rate a.depot_cas
-    a.depot_cas_retries a.slab_parks a.slab_adopts a.slab_cas
-    a.slab_cas_retries a.slab_fresh a.slab_occupancy a.remote_batches
+    "mag hits=%d misses=%d recycled=%d hit_rate=%.2f | slab parks=%d \
+     adopts=%d cas=%d retries=%d fresh=%d occupancy=%.2f"
+    a.mag_hits a.mag_misses a.mag_recycled a.mag_hit_rate a.slab_parks
+    a.slab_adopts a.slab_cas a.slab_cas_retries a.slab_fresh
+    a.slab_occupancy

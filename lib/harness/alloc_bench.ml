@@ -1,45 +1,29 @@
-(* Allocator microbenchmark behind `sec_bench alloc` (PR 10): the node
-   hot path measured in isolation — no stack on top — so the depot
-   removal claim is a number, not an inference from end-to-end
-   throughput.
+(* Allocator microbenchmark behind `sec_bench alloc`: the node hot path
+   measured in isolation — the magazine over its slab store, no stack
+   on top — so the allocator's cost and cross-domain traffic are
+   numbers, not inferences from end-to-end throughput.
 
-   Two phases, three modes, both substrates:
+   Two phases, both substrates:
 
    - [Local]: every thread alloc/frees bursts of [burst] nodes through
      its own magazine. [burst] exceeds the magazine capacity, so each
-     burst forces slow-path refills and overflow emigrations — the
-     depot (one global CAS per chain, retried under contention) against
-     the slab store (one park/adopt attempt per whole slab).
+     burst forces slow-path refills and overflows into the slab store.
    - [Remote]: producer/consumer pairs. The producer allocates a batch
      and hands it over through one exchange cell; the consumer frees
-     every node. The allocation and free streams now live on different
-     domains — the depot is the rendezvous (maximal CAS contention),
-     where the slab store moves whole slabs and the arena batches
-     remote frees into per-slab inboxes.
-
-   Modes: [Depot] is the PR 5 magazine over the global depot; [Slab]
-   the same magazine refilled from the wait-free slab store; [Arena]
-   the off-heap Bigarray arena with integer handles (no magazine — the
-   arena's private free list plays that role).
+     every node. The allocation and free streams live on different
+     domains, so whole slabs must be parked by the consumer and adopted
+     by the producer.
 
    The iteration counts are fixed (not timed), so the simulated runs
-   are deterministic per seed and the cross-domain CAS comparison —
-   [Slab.Global.cas_attempts] vs the depot tally — is exact. Native
-   timing wraps the whole run (spawn + barrier + work); size [iters]
-   so the loop dominates. *)
+   are deterministic per seed and the cross-domain CAS tally
+   ([Slab.Global.cas_attempts]) is exact. Native timing wraps the whole
+   run (spawn + barrier + work); size [iters] so the loop dominates. *)
 
-type mode = Depot | Slab | Arena
 type phase = Local | Remote
-
-let mode_to_string = function
-  | Depot -> "depot"
-  | Slab -> "slab"
-  | Arena -> "arena"
 
 let phase_to_string = function Local -> "local" | Remote -> "remote"
 
 type result = {
-  r_mode : mode;
   r_phase : phase;
   backend : string;  (** "native" or "sim" *)
   threads : int;
@@ -47,12 +31,11 @@ type result = {
   per_op : float;  (** ns/op (native) or cycles/op (sim) *)
   unit_label : string;  (** "ns/op" or "cycles/op" *)
   cross_cas : int;
-      (** cross-domain CAS attempts the allocator issued: the depot
-          tally under [Depot], {!Sec_reclaim.Slab.Global.cas_attempts}
-          under [Slab]/[Arena] — the comparison docs/PERF.md quotes *)
-  cross_cas_retries : int;  (** attempts that lost and looped/degraded *)
+      (** cross-domain CAS attempts the slab store issued
+          ({!Sec_reclaim.Slab.Global.cas_attempts}) — the number
+          docs/PERF.md quotes *)
+  cross_cas_retries : int;  (** attempts that lost (slab kept or miss) *)
   fresh : int;  (** nodes constructed outside the recycler (misses) *)
-  remote_batches : int;  (** arena remote-free batches spliced *)
   occupancy : float;  (** slab pooled/capacity at the end of the run *)
 }
 
@@ -61,12 +44,11 @@ module Bench (X : Sec_prim.Prim_intf.EXEC) = struct
   module A = X.Atomic
   module Backoff = Sec_prim.Backoff.Make (X)
   module Mag = Sec_reclaim.Magazine.Make (X)
-  module Sl = Sec_reclaim.Slab.Make (X)
 
   (* Every thread: [iters] bursts of [burst] alloc/free round-trips
      against its own magazine. Returns total round-trips. *)
-  let mag_local ~backing ~threads ~iters ~burst =
-    let mag = Mag.create ~max_threads:threads ~backing () in
+  let local ~threads ~iters ~burst =
+    let mag = Mag.create ~max_threads:threads () in
     let completed = Array.make threads 0 in
     for _ = 1 to threads do
       X.spawn (fun () ->
@@ -92,11 +74,11 @@ module Bench (X : Sec_prim.Prim_intf.EXEC) = struct
 
   (* Producer/consumer pairs handing whole batches through one exchange
      cell: tid 2p allocates, tid 2p+1 frees. Counted on the consumer. *)
-  let mag_remote ~backing ~threads ~iters ~burst =
+  let remote ~threads ~iters ~burst =
     let pairs = threads / 2 in
     if pairs < 1 then
       invalid_arg "Alloc_bench: the remote phase needs >= 2 threads";
-    let mag = Mag.create ~max_threads:threads ~backing () in
+    let mag = Mag.create ~max_threads:threads () in
     let cells = Array.init pairs (fun _ -> A.make_padded []) in
     let completed = Array.make threads 0 in
     for _ = 1 to pairs do
@@ -141,94 +123,10 @@ module Bench (X : Sec_prim.Prim_intf.EXEC) = struct
     X.await_all ();
     Array.fold_left ( + ) 0 completed
 
-  (* Same two shapes over the off-heap arena: integer handles, owner
-     frees in [Local], batched remote frees in [Remote]. The arena is
-     sized so the in-flight set (one batch per pair plus the outbox and
-     inbox backlog) never exhausts the chunk. *)
-  let arena_local ~threads ~iters ~burst =
-    let arena = Sl.Arena.create ~max_threads:threads () in
-    let completed = Array.make threads 0 in
-    for _ = 1 to threads do
-      X.spawn (fun () ->
-          let tid = X.thread_id () in
-          let handles = Array.make burst (-1) in
-          for _ = 1 to iters do
-            for i = 0 to burst - 1 do
-              let h = Sl.Arena.alloc arena ~tid in
-              Sl.Arena.set_value arena h i;
-              handles.(i) <- h
-            done;
-            for i = 0 to burst - 1 do
-              Sl.Arena.free arena ~tid handles.(i)
-            done;
-            completed.(tid) <- completed.(tid) + burst
-          done;
-          Sl.Arena.flush_remote arena ~tid)
-    done;
-    X.await_all ();
-    Array.fold_left ( + ) 0 completed
-
-  let arena_remote ~threads ~iters ~burst =
-    let pairs = threads / 2 in
-    if pairs < 1 then
-      invalid_arg "Alloc_bench: the remote phase needs >= 2 threads";
-    let arena = Sl.Arena.create ~max_threads:threads () in
-    (* one handle-batch cell per pair; [] = empty *)
-    let cells = Array.init pairs (fun _ -> A.make_padded []) in
-    let completed = Array.make threads 0 in
-    for _ = 1 to pairs do
-      X.spawn (fun () ->
-          (* producer: every handle it frees nothing — the consumer owns
-             the free half of the round-trip *)
-          let tid = X.thread_id () in
-          let cell = cells.(tid / 2) in
-          for _ = 1 to iters do
-            let batch = ref [] in
-            for i = 0 to burst - 1 do
-              let h = Sl.Arena.alloc arena ~tid in
-              Sl.Arena.set_value arena h i;
-              batch := h :: !batch
-            done;
-            let backoff = Backoff.create () in
-            while not (A.compare_and_set cell [] !batch) do
-              Backoff.once backoff
-            done
-          done;
-          Sl.Arena.flush_remote arena ~tid);
-      X.spawn (fun () ->
-          (* consumer: every free is remote (the producer carved the
-             slab), so this is the outbox/inbox path end to end *)
-          let tid = X.thread_id () in
-          let cell = cells.(tid / 2) in
-          for _ = 1 to iters do
-            let backoff = Backoff.create () in
-            let rec take () =
-              match A.exchange cell [] with
-              | [] ->
-                  Backoff.once backoff;
-                  take ()
-              | batch -> batch
-            in
-            List.iter (fun h -> Sl.Arena.free arena ~tid h) (take ());
-            completed.(tid) <- completed.(tid) + burst
-          done;
-          Sl.Arena.flush_remote arena ~tid)
-    done;
-    X.await_all ();
-    Array.fold_left ( + ) 0 completed
-
-  let run ~mode ~phase ~threads ~iters ~burst () =
-    match (mode, phase) with
-    | Arena, Local -> arena_local ~threads ~iters ~burst
-    | Arena, Remote -> arena_remote ~threads ~iters ~burst
-    | (Depot | Slab), Local ->
-        mag_local
-          ~backing:(if mode = Depot then `Depot else `Slab)
-          ~threads ~iters ~burst
-    | (Depot | Slab), Remote ->
-        mag_remote
-          ~backing:(if mode = Depot then `Depot else `Slab)
-          ~threads ~iters ~burst
+  let run ~phase ~threads ~iters ~burst () =
+    match phase with
+    | Local -> local ~threads ~iters ~burst
+    | Remote -> remote ~threads ~iters ~burst
 end
 
 (* ------------------------------------------------------------------ *)
@@ -237,56 +135,45 @@ end
 let default_iters = 200
 let default_burst = 192 (* > Magazine.default_capacity: bursts must spill *)
 
-(* Fold the process-wide tallies into a [result]; [cross_cas] is the
-   number the ISSUE's acceptance bar compares (slab strictly below
-   depot). *)
-let finish ~mode ~phase ~backend ~threads ~ops ~per_op ~unit_label =
+(* Fold the process-wide tallies into a [result]. *)
+let finish ~phase ~backend ~threads ~ops ~per_op ~unit_label =
   let a = Sec_core.Sec_stats.alloc_snapshot () in
-  let cross_cas, cross_cas_retries =
-    match mode with
-    | Depot ->
-        (a.Sec_core.Sec_stats.depot_cas, a.Sec_core.Sec_stats.depot_cas_retries)
-    | Slab | Arena ->
-        (a.Sec_core.Sec_stats.slab_cas, a.Sec_core.Sec_stats.slab_cas_retries)
-  in
   {
-    r_mode = mode;
     r_phase = phase;
     backend;
     threads;
     ops;
     per_op;
     unit_label;
-    cross_cas;
-    cross_cas_retries;
+    cross_cas = a.Sec_core.Sec_stats.slab_cas;
+    cross_cas_retries = a.Sec_core.Sec_stats.slab_cas_retries;
     fresh =
       a.Sec_core.Sec_stats.mag_misses + a.Sec_core.Sec_stats.slab_fresh;
-    remote_batches = a.Sec_core.Sec_stats.remote_batches;
     occupancy = a.Sec_core.Sec_stats.slab_occupancy;
   }
 
 (* Native: fixed work, wall clock around the whole run (domain spawn and
    start barrier included — size [iters] so the loop dominates). *)
 let run_native ?(threads = 4) ?(iters = default_iters)
-    ?(burst = default_burst) ?(seed = 1) ~mode ~phase () =
+    ?(burst = default_burst) ?(seed = 1) ~phase () =
   let module B = Bench (Sec_prim.Native) in
   Sec_core.Sec_stats.alloc_reset ();
   let ops = ref 0 in
   let t0 = ref 0. and t1 = ref 0. in
   Sec_prim.Native.with_exec ~seed:(Int64.of_int seed) (fun () ->
       t0 := Unix.gettimeofday ();
-      ops := B.run ~mode ~phase ~threads ~iters ~burst ();
+      ops := B.run ~phase ~threads ~iters ~burst ();
       t1 := Unix.gettimeofday ());
   let per_op =
     if !ops = 0 then 0. else (!t1 -. !t0) *. 1e9 /. float_of_int !ops
   in
-  finish ~mode ~phase ~backend:"native" ~threads ~ops:!ops ~per_op
+  finish ~phase ~backend:"native" ~threads ~ops:!ops ~per_op
     ~unit_label:"ns/op"
 
 (* Simulated: same fixed work on virtual fibers; the cost unit is the
    makespan in virtual cycles, deterministic per seed. *)
 let run_sim ?(threads = 4) ?(iters = default_iters) ?(burst = default_burst)
-    ?(seed = 1) ?topology ~mode ~phase () =
+    ?(seed = 1) ?topology ~phase () =
   let module B = Bench (Sec_sim.Sim.Prim) in
   let topology =
     match topology with Some t -> t | None -> Sec_sim.Topology.testbox
@@ -294,11 +181,11 @@ let run_sim ?(threads = 4) ?(iters = default_iters) ?(burst = default_burst)
   Sec_core.Sec_stats.alloc_reset ();
   let ops, stats =
     Sec_sim.Sim.run ~seed ~jitter:2 ~topology (fun () ->
-        B.run ~mode ~phase ~threads ~iters ~burst ())
+        B.run ~phase ~threads ~iters ~burst ())
   in
   let per_op =
     if ops = 0 then 0.
     else float_of_int stats.Sec_sim.Sim.elapsed_cycles /. float_of_int ops
   in
-  finish ~mode ~phase ~backend:"sim" ~threads ~ops ~per_op
+  finish ~phase ~backend:"sim" ~threads ~ops ~per_op
     ~unit_label:"cycles/op"

@@ -1,17 +1,11 @@
-(** Allocator microbenchmark behind [sec_bench alloc] (PR 10): the node
-    hot path measured in isolation — alloc/free round-trip cost and
-    remote-free throughput for the PR 5 global depot against the
-    wait-free slab store and the off-heap arena, on both substrates.
+(** Allocator microbenchmark behind [sec_bench alloc]: the node hot path
+    measured in isolation — the magazine over its wait-free slab store —
+    for alloc/free round-trip cost and remote-free throughput, on both
+    substrates.
 
     The iteration counts are fixed (not timed), so simulated runs are
-    deterministic per seed and the cross-domain CAS comparison between
-    modes is exact. See docs/PERF.md ("Allocator") for measured
-    numbers. *)
-
-type mode =
-  | Depot  (** magazine over the PR 5 global depot (one CAS per chain) *)
-  | Slab  (** magazine refilled from the wait-free slab store *)
-  | Arena  (** off-heap Bigarray arena, integer handles, no magazine *)
+    deterministic per seed and the cross-domain CAS counts are exact.
+    See docs/PERF.md ("Allocator") for measured numbers. *)
 
 type phase =
   | Local  (** every thread alloc/frees its own bursts *)
@@ -19,11 +13,9 @@ type phase =
       (** producer/consumer pairs: allocation and free streams live on
           different domains *)
 
-val mode_to_string : mode -> string
 val phase_to_string : phase -> string
 
 type result = {
-  r_mode : mode;
   r_phase : phase;
   backend : string;  (** "native" or "sim" *)
   threads : int;
@@ -31,12 +23,10 @@ type result = {
   per_op : float;  (** ns/op (native) or cycles/op (sim) *)
   unit_label : string;  (** "ns/op" or "cycles/op" *)
   cross_cas : int;
-      (** cross-domain CAS attempts the allocator issued — the depot
-          tally under [Depot], {!Sec_reclaim.Slab.Global.cas_attempts}
-          under [Slab]/[Arena] *)
-  cross_cas_retries : int;  (** attempts that lost and looped/degraded *)
+      (** cross-domain CAS attempts the slab store issued
+          ({!Sec_reclaim.Slab.Global.cas_attempts}) *)
+  cross_cas_retries : int;  (** attempts that lost (slab kept or miss) *)
   fresh : int;  (** nodes constructed outside the recycler (misses) *)
-  remote_batches : int;  (** arena remote-free batches spliced *)
   occupancy : float;  (** slab pooled/capacity at the end of the run *)
 }
 
@@ -51,7 +41,6 @@ val run_native :
   ?iters:int ->
   ?burst:int ->
   ?seed:int ->
-  mode:mode ->
   phase:phase ->
   unit ->
   result
@@ -62,7 +51,6 @@ val run_sim :
   ?burst:int ->
   ?seed:int ->
   ?topology:Sec_sim.Topology.t ->
-  mode:mode ->
   phase:phase ->
   unit ->
   result

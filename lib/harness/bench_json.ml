@@ -27,15 +27,10 @@ type row = {
   mag_misses : int;
   mag_recycled : int;
   mag_hit_rate : float;
-  (* PR 10, the allocator dimension: depot CAS traffic (with contended
-     retries), slab-layer CAS traffic and occupancy, arena remote-free
-     batches, and — native rows only, zero in sim — GC counters for the
-     off-heap claim. *)
-  depot_cas : int;
-  depot_cas_retries : int;
+  (* The allocator dimension: slab-layer CAS traffic and occupancy,
+     and — native rows only, zero in sim — GC counters. *)
   slab_cas : int;
   slab_occupancy : float;
-  remote_batches : int;
   gc_minor_words : float;  (** native: minor words allocated; sim: 0 *)
   gc_major_colls : int;  (** native: major collections; sim: 0 *)
 }
@@ -59,13 +54,12 @@ type doc = {
 (* ------------------------------------------------------------------ *)
 (* Collection                                                          *)
 
-(* The recycling, adaptive and slab-backed SEC/EBR variants ride along
-   in the baseline so the zero-allocation and depot-removal claims are
-   themselves regression-checked. *)
+(* The recycling and adaptive SEC variants and the EBR stacks ride along
+   in the baseline so the zero-allocation claims are themselves
+   regression-checked. *)
 let bench_entries =
   Registry.paper_set @ Registry.reclaimed_set
   @ [ Registry.sec_recycling; Registry.sec_adaptive ]
-  @ Registry.slab_set
 
 let bench_threads = [ 1; 2; 4 ]
 
@@ -96,11 +90,8 @@ let sim_row entry ~topology ~threads ~duration_cycles ~mix ~seed =
     mag_misses = a.Sec_core.Sec_stats.mag_misses;
     mag_recycled = a.Sec_core.Sec_stats.mag_recycled;
     mag_hit_rate = a.Sec_core.Sec_stats.mag_hit_rate;
-    depot_cas = a.Sec_core.Sec_stats.depot_cas;
-    depot_cas_retries = a.Sec_core.Sec_stats.depot_cas_retries;
     slab_cas = a.Sec_core.Sec_stats.slab_cas;
     slab_occupancy = a.Sec_core.Sec_stats.slab_occupancy;
-    remote_batches = a.Sec_core.Sec_stats.remote_batches;
     gc_minor_words = 0.;
     gc_major_colls = 0;
   }
@@ -126,11 +117,8 @@ let native_row entry ~threads ~duration ~mix ~seed =
     mag_misses = a.Sec_core.Sec_stats.mag_misses;
     mag_recycled = a.Sec_core.Sec_stats.mag_recycled;
     mag_hit_rate = a.Sec_core.Sec_stats.mag_hit_rate;
-    depot_cas = a.Sec_core.Sec_stats.depot_cas;
-    depot_cas_retries = a.Sec_core.Sec_stats.depot_cas_retries;
     slab_cas = a.Sec_core.Sec_stats.slab_cas;
     slab_occupancy = a.Sec_core.Sec_stats.slab_occupancy;
-    remote_batches = a.Sec_core.Sec_stats.remote_batches;
     gc_minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
     gc_major_colls = gc1.Gc.major_collections - gc0.Gc.major_collections;
   }
@@ -265,13 +253,12 @@ let to_string doc =
            "\n    {\"algorithm\": \"%s\", \"threads\": %d, \"ops\": %d, \
             \"allocs\": %d, \"throughput\": %s, \"mag_hits\": %d, \
             \"mag_misses\": %d, \"mag_recycled\": %d, \"mag_hit_rate\": %s, \
-            \"depot_cas\": %d, \"depot_cas_retries\": %d, \"slab_cas\": %d, \
-            \"slab_occupancy\": %s, \"remote_batches\": %d, \
+            \"slab_cas\": %d, \"slab_occupancy\": %s, \
             \"gc_minor_words\": %s, \"gc_major_colls\": %d}"
            (escape r.algorithm) r.threads r.ops r.allocs (fl r.throughput)
            r.mag_hits r.mag_misses r.mag_recycled (fl r.mag_hit_rate)
-           r.depot_cas r.depot_cas_retries r.slab_cas (fl r.slab_occupancy)
-           r.remote_batches (fl r.gc_minor_words) r.gc_major_colls))
+           r.slab_cas (fl r.slab_occupancy) (fl r.gc_minor_words)
+           r.gc_major_colls))
     doc.rows;
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
@@ -485,11 +472,8 @@ let row_of_json j =
     mag_misses = to_int (member "mag_misses" j);
     mag_recycled = to_int (member "mag_recycled" j);
     mag_hit_rate = to_float (member "mag_hit_rate" j);
-    depot_cas = opt_int "depot_cas" j ~default:0;
-    depot_cas_retries = opt_int "depot_cas_retries" j ~default:0;
     slab_cas = opt_int "slab_cas" j ~default:0;
     slab_occupancy = opt_float "slab_occupancy" j ~default:0.;
-    remote_batches = opt_int "remote_batches" j ~default:0;
     gc_minor_words = opt_float "gc_minor_words" j ~default:0.;
     gc_major_colls = opt_int "gc_major_colls" j ~default:0;
   }

@@ -173,30 +173,6 @@ let tsi_ebr =
     spec = Stack_sem;
   }
 
-(* Slab-backed twins (PR 10): identical push/pop atomic sequences to
-   their depot-backed originals — only the magazines' refill slow path
-   goes through the wait-free slab store — so differential runs isolate
-   the allocator. *)
-let treiber_slab =
-  {
-    name = "TRB-SLAB";
-    maker = (module Sec_reclaim.Treiber_ebr.Make_slab : MAKER);
-    progress = Lock_free;
-    spec = Stack_sem;
-  }
-
-let tsi_slab =
-  {
-    name = "TSI-SLAB";
-    maker = (module Sec_reclaim.Ts_stack_ebr.Make_slab : MAKER);
-    progress = Lock_free;
-    spec = Stack_sem;
-  }
-
-let sec_slab =
-  sec_configured ~label:"SEC+SLAB"
-    ~config:(Sec_core.Config.with_slab Sec_core.Config.default)
-
 (* The six algorithms of the paper's comparison (Figure 2). *)
 let paper_set = [ sec; treiber; eb; fc; cc; tsi ]
 
@@ -210,11 +186,6 @@ let reclaimed_set = [ treiber_ebr; tsi_ebr ]
    recycling/adaptive variants of this repo's perf layer. *)
 let all =
   paper_set @ [ lock; hsynch ] @ reclaimed_set @ [ sec_recycling; sec_adaptive ]
-
-(* The slab-backed variants, kept out of [all] (the progress and
-   refinement default sweeps stay as seeded) but benchmarked by
-   [Bench_json.bench_entries] and reachable by name through [find]. *)
-let slab_set = [ treiber_slab; tsi_slab; sec_slab ]
 
 (* SEC_Agg1 .. SEC_Agg5, the self-comparison of Figure 4. *)
 let sec_aggregator_sweep =
@@ -269,10 +240,10 @@ let mutants =
   ]
 
 let find name =
-  match
-    List.find_opt
-      (fun e -> e.name = name)
-      (all @ slab_set @ sec_aggregator_sweep)
-  with
+  let named = all @ sec_aggregator_sweep in
+  match List.find_opt (fun e -> e.name = name) named with
   | Some e -> e
-  | None -> invalid_arg ("unknown algorithm: " ^ name)
+  | None ->
+      invalid_arg
+        (Printf.sprintf "unknown algorithm: %s (valid: %s)" name
+           (String.concat ", " (List.map (fun e -> e.name) named)))

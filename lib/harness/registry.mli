@@ -70,15 +70,6 @@ val treiber_ebr : entry
     ("TSI-EBR", owner-only unlinking). *)
 val tsi_ebr : entry
 
-(** Slab-backed twins (PR 10): [treiber_ebr]/[tsi_ebr]/[sec_recycling]
-    with the magazines' slow path routed through the wait-free
-    {!Sec_reclaim.Slab} store instead of the global depot. Identical
-    push/pop atomic sequences to their originals. *)
-val treiber_slab : entry
-
-val tsi_slab : entry
-val sec_slab : entry
-
 (** The six algorithms of the paper's comparison (Figure 2). *)
 val paper_set : entry list
 
@@ -88,12 +79,6 @@ val reclaimed_set : entry list
 (** [paper_set] plus the spinlock baseline, H-Synch and
     [reclaimed_set]. *)
 val all : entry list
-
-(** The slab-backed variants ([treiber_slab], [tsi_slab], [sec_slab]).
-    Not part of [all] (the progress and refinement default sweeps stay
-    as seeded); benchmarked by {!Bench_json.bench_entries} and
-    reachable through {!find}. *)
-val slab_set : entry list
 
 (** SEC_Agg1 .. SEC_Agg5 (Figure 4's self-comparison). *)
 val sec_aggregator_sweep : entry list
@@ -113,5 +98,6 @@ val refine_set : entry list
     tests. Never part of [all] or [find]. *)
 val mutants : entry list
 
-(** Find by display name; raises [Invalid_argument] for unknown names. *)
+(** Find by display name among [all] and [sec_aggregator_sweep]; raises
+    [Invalid_argument] for unknown names, listing the valid ones. *)
 val find : string -> entry

@@ -53,14 +53,11 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
 
   type 'a t = { top : 'a node option A.t; ebr : Ebr.t; mag : 'a node Mag.t }
 
-  (* [backing] selects the magazine's slow-path store: the PR 5 global
-     depot (default, pinned-schedule-stable) or the wait-free slab
-     store (`Slab). *)
-  let create ?(max_threads = 64) ?(backing = `Depot) () =
+  let create ?(max_threads = 64) () =
     {
       top = A.make_padded None;
       ebr = Ebr.create ~max_threads ();
-      mag = Mag.create ~max_threads ~backing ();
+      mag = Mag.create ~max_threads ();
     }
 
   (* [push t ~tid v ~on_reclaim] — [on_reclaim] runs once the node has

@@ -31,15 +31,7 @@
 [@@@progress "lock_free"]
 [@@@spec "stack"]
 
-(* The algorithm is generic in the magazine's backing store; {!Make}
-   ("TSI-EBR", depot) and {!Make_slab} ("TSI-SLAB", wait-free slab
-   store) below instantiate it. The push/pop atomic sequences are
-   identical across the two — only the refill slow path differs. *)
-module Make_backed (B : sig
-  val backing : [ `Depot | `Slab ]
-  val name : string
-end)
-(P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S = struct
+module Make (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S = struct
   module A = P.Atomic
   module Ebr = Ebr.Make (P)
   module Mag = Magazine.Make (P)
@@ -69,7 +61,7 @@ end)
     mag : 'a node Mag.t;
   }
 
-  let name = B.name
+  let name = "TSI-EBR"
 
   let pending = (Int64.max_int, Int64.max_int)
 
@@ -81,7 +73,7 @@ end)
       pools = Array.init max_threads (fun _ -> A.make_padded None);
       delay = default_delay;
       ebr = Ebr.create ~max_threads ();
-      mag = Mag.create ~max_threads ~backing:B.backing ();
+      mag = Mag.create ~max_threads ();
     }
 
   let push t ~tid value =
@@ -238,19 +230,3 @@ end)
         in
         attempt ())
 end
-
-module Make (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S =
-  Make_backed
-    (struct
-      let backing = `Depot
-      let name = "TSI-EBR"
-    end)
-    (P)
-
-module Make_slab (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S =
-  Make_backed
-    (struct
-      let backing = `Slab
-      let name = "TSI-SLAB"
-    end)
-    (P)

@@ -65,8 +65,36 @@ let test_registry_names () =
   Alcotest.(check string) "find SEC_Agg3" "SEC_Agg3"
     (Registry.find "SEC_Agg3").Registry.name;
   Alcotest.check_raises "unknown algorithm"
-    (Invalid_argument "unknown algorithm: XYZ") (fun () ->
-      ignore (Registry.find "XYZ"))
+    (Invalid_argument
+       "unknown algorithm: XYZ (valid: SEC, TRB, EB, FC, CC, TSI, LCK, HS, \
+        TRB-EBR, TSI-EBR, SEC+MAG, SEC+ADPT, SEC_Agg1, SEC_Agg2, SEC_Agg3, \
+        SEC_Agg4, SEC_Agg5)") (fun () -> ignore (Registry.find "XYZ"))
+
+(* An unregistered name fails with a message that names every entry
+   [find] accepts, so a script passing a stale name learns what to use
+   instead. *)
+let test_registry_unknown_lists_valid () =
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun gone ->
+      match Registry.find gone with
+      | _ -> Alcotest.failf "%s should not be registered" gone
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (gone ^ " named in the message") true
+            (contains msg ("unknown algorithm: " ^ gone));
+          List.iter
+            (fun (e : Registry.entry) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s lists %s" gone e.Registry.name)
+                true
+                (contains msg e.Registry.name))
+            (Registry.all @ Registry.sec_aggregator_sweep))
+    [ "TRB-SLAB"; "TSI-SLAB"; "SEC+SLAB" ]
 
 let test_registry_entries_work () =
   (* Every registered maker must yield a working stack on both substrates. *)
@@ -209,6 +237,8 @@ let () =
           Alcotest.test_case "names" `Quick test_registry_names;
           Alcotest.test_case "entries work" `Quick test_registry_entries_work;
           Alcotest.test_case "sec config" `Quick test_registry_sec_config;
+          Alcotest.test_case "unknown name lists valid names" `Quick
+            test_registry_unknown_lists_valid;
         ] );
       ( "runners",
         [

@@ -51,32 +51,39 @@ let test_invalid_capacity () =
     (Invalid_argument "Magazine.create: capacity must be at least 1")
     (fun () -> ignore (NMag.create ~capacity:0 ()))
 
-(* A full magazine emigrates to the depot as one chain, and a different
-   tid — which never recycled anything — adopts those chains. *)
-let test_depot_overflow_and_adoption () =
+(* A full magazine is freed into the owner's active slab as one chain;
+   a full slab is parked on the shared partial-slab stack, and a
+   different tid — which never recycled anything — adopts the whole
+   slab through its own magazine. *)
+let test_slab_park_and_adoption () =
   let m = NMag.create ~capacity:2 ~max_threads:4 () in
-  let nodes = Array.init 5 (fun i -> ref i) in
+  let nodes = Array.init 9 (fun i -> ref i) in
   Array.iter (fun n -> NMag.recycle m ~tid:0 n) nodes;
-  (* capacity 2: recycles 3 and 5 each push a full chain depot-ward *)
+  (* capacity 2: recycles 3, 5, 7 and 9 each free a full chain; the
+     fourth fills the slab (4 chains by default), which is parked *)
   let s = NMag.stats m in
-  Alcotest.(check int) "recycled" 5 s.Mag.recycled;
-  Alcotest.(check int) "two chains emigrated" 2 s.Mag.depot_puts;
-  (* tid 3 starts empty: everything it gets comes from the depot *)
+  Alcotest.(check int) "recycled" 9 s.Mag.recycled;
+  Alcotest.(check int) "four chains freed" 4 s.Mag.chain_puts;
+  let sl = NMag.slab_stats m in
+  Alcotest.(check int) "one slab parked" 1 sl.Sec_reclaim.Slab.parks;
+  (* tid 3 starts empty: everything it gets comes from the parked slab *)
   let adopted = ref 0 in
   (try
-     while !adopted < 5 do
+     while !adopted < 9 do
        match NMag.alloc m ~tid:3 with
        | Some _ -> incr adopted
        | None -> raise Exit
      done
    with Exit -> ());
-  Alcotest.(check int) "adopted the four depot-resident nodes" 4 !adopted;
+  Alcotest.(check int) "adopted the eight slab-resident nodes" 8 !adopted;
   let s = NMag.stats m in
-  Alcotest.(check int) "two chains adopted" 2 s.Mag.depot_gets;
-  (* the fifth node stayed in tid 0's private magazine *)
+  Alcotest.(check int) "four chains adopted" 4 s.Mag.chain_gets;
+  let sl = NMag.slab_stats m in
+  Alcotest.(check int) "one slab adopted" 1 sl.Sec_reclaim.Slab.adopts;
+  (* the ninth node stayed in tid 0's private magazine *)
   let got_last =
     match NMag.alloc m ~tid:0 with
-    | Some n -> n == nodes.(4)
+    | Some n -> n == nodes.(8)
     | None -> false
   in
   Alcotest.(check bool) "owner still holds its private node" true got_last
@@ -319,8 +326,8 @@ let () =
         [
           Alcotest.test_case "local hit is LIFO" `Quick test_local_hit_lifo;
           Alcotest.test_case "invalid capacity" `Quick test_invalid_capacity;
-          Alcotest.test_case "depot overflow + cross-tid adoption" `Quick
-            test_depot_overflow_and_adoption;
+          Alcotest.test_case "slab park + cross-tid adoption" `Quick
+            test_slab_park_and_adoption;
           Alcotest.test_case "global tallies" `Quick test_global_tallies;
         ] );
       ( "checker contract",

@@ -1,16 +1,12 @@
-(* The wait-free slab allocator and off-heap arena (PR 10,
-   lib/reclaim/slab.ml): chain-level slab semantics, park/adopt
-   hand-off, arena handle lifecycle and remote-free batching, the
-   reclaim checker's slab/arena shadow-heap contract (seeded
-   double-free and use-after-release mutants caught under pinned
-   replay), lockstep equivalence of the slab-backed stacks with their
-   depot-backed and GC twins, and the cross-domain CAS claim the ISSUE
-   gates on (slab strictly below depot), measured by the same
-   microbenchmark `sec_bench alloc` runs. *)
+(* The wait-free slab store (lib/reclaim/slab.ml), the only slow path
+   of the node magazines: chain-level slab semantics and park/adopt
+   hand-off, lockstep equivalence of the slab-backed TRB-EBR with plain
+   Treiber, its simulated histories and allocation count, and the
+   allocator's cross-domain CAS and fresh-node counts pinned on the
+   same deterministic microbenchmark `sec_bench alloc` runs. *)
 
 module Slab = Sec_reclaim.Slab
 module NSl = Sec_reclaim.Slab.Make (Sec_prim.Native)
-module Chk = Sec_analysis.Reclaim_checker
 module Topology = Sec_sim.Topology
 module Sim = Sec_sim.Sim
 module SP = Sim.Prim
@@ -84,213 +80,18 @@ let test_create_validates () =
       ignore (NSl.create ~chain_len:0 ()))
 
 (* ------------------------------------------------------------------ *)
-(* Off-heap arena semantics (native substrate). *)
-
-let test_arena_round_trip_and_reuse () =
-  let a = NSl.Arena.create ~slab_slots:8 ~max_slabs:2 ~max_threads:2 () in
-  let h = NSl.Arena.alloc a ~tid:0 in
-  NSl.Arena.set_value a h 42;
-  NSl.Arena.set_link a h (-1);
-  Alcotest.(check int) "value survives" 42 (NSl.Arena.get_value a h);
-  Alcotest.(check int) "live counts the slot" 1 (NSl.Arena.live a);
-  NSl.Arena.free a ~tid:0 h;
-  Alcotest.(check int) "free empties the arena" 0 (NSl.Arena.live a);
-  let h' = NSl.Arena.alloc a ~tid:0 in
-  Alcotest.(check int) "owner free list is LIFO: same slot again" h h';
-  NSl.Arena.free a ~tid:0 h';
-  let st = NSl.Arena.stats a in
-  Alcotest.(check int) "one slab carved" 1 st.Slab.carved;
-  Alcotest.(check int) "no remote traffic" 0 st.Slab.remote_frees
-
-let test_arena_remote_batching () =
-  Slab.Global.reset ();
-  let a =
-    NSl.Arena.create ~slab_slots:16 ~max_slabs:2 ~max_threads:2
-      ~remote_batch:4 ()
-  in
-  (* tid 0 owns the slab it carves; tid 1 frees remotely. *)
-  let handles = Array.init 10 (fun _ -> NSl.Arena.alloc a ~tid:0) in
-  Array.iter (fun h -> NSl.Arena.free a ~tid:1 h) handles;
-  let st = NSl.Arena.stats a in
-  Alcotest.(check int) "every free was remote" 10 st.Slab.remote_frees;
-  (* batch size 4: 10 frees splice two full batches, 2 slots linger in
-     the outbox until the explicit flush. *)
-  Alcotest.(check int) "two full batches spliced" 2 st.Slab.remote_batches;
-  NSl.Arena.flush_remote a ~tid:1;
-  let st = NSl.Arena.stats a in
-  Alcotest.(check int) "flush publishes the tail batch" 3
-    st.Slab.remote_batches;
-  Alcotest.(check int) "nothing live once published" 0 (NSl.Arena.live a);
-  (* adoption is lazy: the owner drains its private free list (16-slot
-     slab minus the 10 handed over = 6 slots) before touching the
-     inbox; the 7th allocation finds the list dry and adopts all 10
-     remote slots in one exchange, instead of carving a second slab. *)
-  let drained = Array.init 6 (fun _ -> NSl.Arena.alloc a ~tid:0) in
-  Alcotest.(check int) "no adoption while the free list holds out" 0
-    (NSl.Arena.stats a).Slab.adopted;
-  let h = NSl.Arena.alloc a ~tid:0 in
-  Alcotest.(check int) "adoption recovered the remote slots" 10
-    (NSl.Arena.stats a).Slab.adopted;
-  Alcotest.(check int) "still one slab carved" 1
-    (NSl.Arena.stats a).Slab.carved;
-  NSl.Arena.free a ~tid:0 h;
-  Array.iter (fun h -> NSl.Arena.free a ~tid:0 h) drained;
-  (* occupancy gauge: everything pooled again. *)
-  let g = Slab.Global.snapshot () in
-  Alcotest.(check int) "pooled equals capacity" g.Slab.Global.capacity
-    g.Slab.Global.pooled
-
-let test_arena_exhaustion_raises () =
-  let a = NSl.Arena.create ~slab_slots:2 ~max_slabs:1 ~max_threads:1 () in
-  ignore (NSl.Arena.alloc a ~tid:0);
-  ignore (NSl.Arena.alloc a ~tid:0);
-  let raised =
-    try
-      ignore (NSl.Arena.alloc a ~tid:0);
-      false
-    with Failure _ -> true
-  in
-  Alcotest.(check bool) "a full chunk refuses to carve" true raised
-
-(* ------------------------------------------------------------------ *)
-(* The reclaim checker's slab/arena shadow heap: the lifecycle rules
-   the new report kinds enforce, fed directly. *)
-
-let test_checker_clean_slab_lifecycle () =
-  let t = Chk.create () in
-  let id = Chk.on_slot_alloc t ~fiber:0 ~slab:7 ~slot:3 in
-  Chk.on_publish t ~fiber:0 ~node:id;
-  Chk.on_unlink t ~fiber:0 ~node:id;
-  Chk.on_retire t ~fiber:0 ~node:id;
-  Chk.on_slot_free t ~fiber:0 ~slab:7 ~slot:3;
-  (* the slot is free again: a second life is a fresh shadow node *)
-  let id' = Chk.on_slot_alloc t ~fiber:1 ~slab:7 ~slot:3 in
-  Alcotest.(check bool) "reincarnation gets a fresh id" true (id' <> id);
-  Chk.on_slot_free t ~fiber:1 ~slab:7 ~slot:3;
-  Chk.on_slab_release t ~fiber:0 ~slab:7;
-  Alcotest.(check int) "clean lifecycle, no reports" 0
-    (List.length (Chk.reports t))
-
-let test_checker_slab_double_free () =
-  let t = Chk.create () in
-  let _id = Chk.on_slot_alloc t ~fiber:0 ~slab:1 ~slot:0 in
-  Chk.on_slot_free t ~fiber:0 ~slab:1 ~slot:0;
-  Chk.on_slot_free t ~fiber:1 ~slab:1 ~slot:0;
-  match Chk.reports t with
-  | [ r ] ->
-      Alcotest.(check string) "kind" "slab-double-free"
-        (Chk.kind_to_string r.Chk.kind)
-  | rs -> Alcotest.failf "expected one report, got %d" (List.length rs)
-
-let test_checker_two_owners_reported () =
-  let t = Chk.create () in
-  let _a = Chk.on_slot_alloc t ~fiber:0 ~slab:2 ~slot:5 in
-  let _b = Chk.on_slot_alloc t ~fiber:1 ~slab:2 ~slot:5 in
-  match Chk.reports t with
-  | [ r ] ->
-      Alcotest.(check string) "kind" "alloc-from-live-slab"
-        (Chk.kind_to_string r.Chk.kind)
-  | rs -> Alcotest.failf "expected one report, got %d" (List.length rs)
-
-let test_checker_alloc_after_release () =
-  let t = Chk.create () in
-  Chk.on_slab_release t ~fiber:0 ~slab:3;
-  ignore (Chk.on_slot_alloc t ~fiber:1 ~slab:3 ~slot:0);
-  match Chk.reports t with
-  | [ r ] ->
-      Alcotest.(check string) "kind" "alloc-from-live-slab"
-        (Chk.kind_to_string r.Chk.kind)
-  | rs -> Alcotest.failf "expected one report, got %d" (List.length rs)
-
-let test_checker_use_after_arena_release () =
-  let t = Chk.create () in
-  let id = Chk.on_slot_alloc t ~fiber:0 ~slab:4 ~slot:1 in
-  Chk.on_publish t ~fiber:0 ~node:id;
-  (* releasing the slab forces every resident node to Reclaimed... *)
-  Chk.on_slab_release t ~fiber:0 ~slab:4;
-  (* ...so a stale handle dereference is a use-after-reclaim. *)
-  Chk.on_enter t ~fiber:1;
-  Chk.on_access t ~fiber:1 ~node:id;
-  Chk.on_exit t ~fiber:1;
-  let kinds = List.map (fun r -> Chk.kind_to_string r.Chk.kind) (Chk.reports t) in
-  Alcotest.(check bool)
-    (Printf.sprintf "use-after-reclaim reported (got: %s)"
-       (String.concat ", " kinds))
-    true
-    (List.mem "use-after-reclaim" kinds)
-
-(* ------------------------------------------------------------------ *)
-(* The same two mutants seeded into real arena runs on the simulator,
-   with the checker installed: the shadow heap must catch them under
-   every pinned seed (the runs are deterministic, so catching them once
-   per seed IS the pinned replay). *)
-
-module SimSl = Slab.Make (SP)
-
-let arena_mutant_kinds ~seed mutate =
-  let chk = Chk.create () in
-  let (_ : unit), _ =
-    Sim.run ~seed ~jitter:3 ~reclaim_checker:chk ~topology:Topology.testbox
-      (fun () ->
-        let a =
-          SimSl.Arena.create ~slab_slots:8 ~max_slabs:2 ~max_threads:4 ()
-        in
-        Sim.spawn (fun () ->
-            let tid = Sim.fiber_id () in
-            let h = SimSl.Arena.alloc a ~tid in
-            SimSl.Arena.set_value a h 1;
-            mutate a ~tid h);
-        Sim.await_all ())
-  in
-  List.map (fun r -> Chk.kind_to_string r.Chk.kind) (Chk.reports chk)
-
-let test_sim_double_free_mutant_caught () =
-  List.iter
-    (fun seed ->
-      let kinds =
-        arena_mutant_kinds ~seed (fun a ~tid h ->
-            SimSl.Arena.free a ~tid h;
-            SimSl.Arena.free a ~tid h)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d catches the double free (got: %s)" seed
-           (String.concat ", " kinds))
-        true
-        (List.mem "slab-double-free" kinds))
-    [ 1; 2; 3 ]
-
-let test_sim_alloc_after_release_mutant_caught () =
-  List.iter
-    (fun seed ->
-      let kinds =
-        arena_mutant_kinds ~seed (fun a ~tid h ->
-            SimSl.Arena.free a ~tid h;
-            SimSl.Arena.release a ~tid;
-            ignore (SimSl.Arena.alloc a ~tid))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d catches alloc-after-release (got: %s)" seed
-           (String.concat ", " kinds))
-        true
-        (List.mem "alloc-from-live-slab" kinds))
-    [ 1; 2; 3 ]
-
-(* ------------------------------------------------------------------ *)
-(* Lockstep differentials: the slab-backed stacks are observationally
-   identical to their depot-backed and GC twins. The phased workload
-   (mixed ops, then a deep drain, then a refill) forces the magazines
-   past capacity so chains really cross the slab store. *)
+(* Lockstep differential: the slab-backed TRB-EBR is observationally
+   identical to plain Treiber. The phased workload (mixed ops, then a
+   deep drain, then a refill) forces the magazines past capacity so
+   chains really cross the slab store. *)
 
 module NT = Sec_stacks.Treiber.Make (Sec_prim.Native)
 module NE = Sec_reclaim.Treiber_ebr.Make (Sec_prim.Native)
-module NS = Sec_reclaim.Treiber_ebr.Make_slab (Sec_prim.Native)
-module NA = Sec_reclaim.Treiber_arena.Make (Sec_prim.Native)
 
-let test_differential_three_way () =
+let test_differential_lockstep () =
   Slab.Global.reset ();
   let t = NT.create ~max_threads:1 () in
   let e = NE.create ~max_threads:1 () in
-  let s = NS.create ~max_threads:1 () in
   let state = ref 0x2545F491 in
   let rand bound =
     state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
@@ -300,20 +101,13 @@ let test_differential_three_way () =
     match op with
     | `Push i ->
         NT.push t ~tid:0 i;
-        NE.push e ~tid:0 i;
-        NS.push s ~tid:0 i
+        NE.push e ~tid:0 i
     | `Pop ->
-        let a = NT.pop t ~tid:0
-        and b = NE.pop e ~tid:0
-        and c = NS.pop s ~tid:0 in
-        Alcotest.(check (option int)) "pop agrees (EBR)" a b;
-        Alcotest.(check (option int)) "pop agrees (SLAB)" a c
+        let a = NT.pop t ~tid:0 and b = NE.pop e ~tid:0 in
+        Alcotest.(check (option int)) "pop agrees" a b
     | `Peek ->
-        let a = NT.peek t ~tid:0
-        and b = NE.peek e ~tid:0
-        and c = NS.peek s ~tid:0 in
-        Alcotest.(check (option int)) "peek agrees (EBR)" a b;
-        Alcotest.(check (option int)) "peek agrees (SLAB)" a c
+        let a = NT.peek t ~tid:0 and b = NE.peek e ~tid:0 in
+        Alcotest.(check (option int)) "peek agrees" a b
   in
   for i = 1 to 4_000 do
     match rand 5 with
@@ -339,45 +133,12 @@ let test_differential_three_way () =
     true
     (g.Slab.Global.chain_puts > 0 && g.Slab.Global.chain_gets > 0)
 
-(* The off-heap arena stack against plain Treiber (int payloads: the
-   arena is monomorphic by design — no Obj, lint rule 3). *)
-let test_differential_arena () =
-  let t = NT.create ~max_threads:1 () in
-  let a = NA.create ~max_threads:1 ~slab_slots:64 ~max_slabs:64 () in
-  let state = ref 0x9E3779B9 in
-  let rand bound =
-    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-    !state mod bound
-  in
-  for i = 1 to 6_000 do
-    match rand 5 with
-    | 0 | 1 | 2 ->
-        NT.push t ~tid:0 i;
-        NA.push a ~tid:0 i
-    | 3 ->
-        let x = NT.pop t ~tid:0 and y = NA.pop a ~tid:0 in
-        Alcotest.(check (option int)) "pop agrees (OFH)" x y
-    | _ ->
-        let x = NT.peek t ~tid:0 and y = NA.peek a ~tid:0 in
-        Alcotest.(check (option int)) "peek agrees (OFH)" x y
-  done;
-  let rec drain () =
-    let x = NT.pop t ~tid:0 and y = NA.pop a ~tid:0 in
-    Alcotest.(check (option int)) "drain agrees (OFH)" x y;
-    if x <> None then drain ()
-  in
-  drain ();
-  NA.flush a ~tid:0;
-  Alcotest.(check bool) "arena saw real carving" true
-    ((NA.arena_stats a).Slab.carved > 0)
-
 (* Under the simulator's interleavings: recorded histories of the
-   slab-backed TRB stay linearizable against the LIFO spec, on the same
-   pinned seeds the depot-backed twin is checked with. *)
-module SimTrbSlab = Sec_reclaim.Treiber_ebr.Make_slab (SP)
+   slab-backed TRB-EBR stay linearizable against the LIFO spec. *)
+module SimTrbEbr = Sec_reclaim.Treiber_ebr.Make (SP)
 
-let test_sim_linearizable_slab () =
-  let module I = Sec_spec.History.Instrument (SP) (SimTrbSlab) in
+let test_sim_linearizable () =
+  let module I = Sec_spec.History.Instrument (SP) (SimTrbEbr) in
   for seed = 1 to 6 do
     let events, _ =
       Sim.run ~seed ~jitter:40 ~topology:Topology.testbox (fun () ->
@@ -398,9 +159,9 @@ let test_sim_linearizable_slab () =
     match Sec_spec.Lin_check.check events with
     | Sec_spec.Lin_check.Linearizable -> ()
     | Sec_spec.Lin_check.Gave_up ->
-        Printf.eprintf "[TRB-SLAB] lin check gave up (seed %d)\n%!" seed
+        Printf.eprintf "[TRB-EBR] lin check gave up (seed %d)\n%!" seed
     | Sec_spec.Lin_check.Not_linearizable ->
-        Alcotest.failf "TRB-SLAB: seed %d produced a non-linearizable history"
+        Alcotest.failf "TRB-EBR: seed %d produced a non-linearizable history"
           seed
   done
 
@@ -426,53 +187,33 @@ let sim_allocs (module S : STACK) =
 
 let test_fewer_allocations_than_treiber () =
   let trb = sim_allocs (module SimTrb) in
-  let slab = sim_allocs (module SimTrbSlab) in
+  let ebr = sim_allocs (module SimTrbEbr) in
   Alcotest.(check bool)
-    (Printf.sprintf "TRB-SLAB allocates less (TRB %d, TRB-SLAB %d)" trb slab)
-    true (slab < trb)
+    (Printf.sprintf "TRB-EBR allocates less (TRB %d, TRB-EBR %d)" trb ebr)
+    true (ebr < trb)
 
 (* ------------------------------------------------------------------ *)
-(* The acceptance bar of the ISSUE, as a pinned regression test: on the
-   deterministic simulated microbenchmark (the same one `sec_bench
-   alloc` runs), the slab path issues strictly fewer cross-domain CAS
-   attempts than the depot path — in both the local and the
-   producer/consumer phase. *)
+(* The allocator's traffic, pinned on the deterministic simulated
+   microbenchmark `sec_bench alloc` runs (4 threads, 50 bursts of 96,
+   seed 1): exact work, no cross-domain CAS at all while every thread
+   frees what it allocates, and upper bounds on the CASes and fresh
+   nodes of the producer/consumer phase. The bounds may only tighten. *)
 
-let test_slab_strictly_fewer_cas () =
+let test_pinned_cas_and_fresh () =
   List.iter
-    (fun phase ->
-      let depot =
-        AB.run_sim ~threads:4 ~iters:50 ~burst:96 ~seed:1 ~mode:AB.Depot
-          ~phase ()
-      in
-      let slab =
-        AB.run_sim ~threads:4 ~iters:50 ~burst:96 ~seed:1 ~mode:AB.Slab ~phase
-          ()
-      in
-      Alcotest.(check int) "same work" depot.AB.ops slab.AB.ops;
+    (fun (phase, ops, max_cas, max_fresh) ->
+      let r = AB.run_sim ~threads:4 ~iters:50 ~burst:96 ~seed:1 ~phase () in
+      let label = AB.phase_to_string phase in
+      Alcotest.(check int) (label ^ ": round-trips") ops r.AB.ops;
       Alcotest.(check bool)
-        (Printf.sprintf "%s: slab %d < depot %d cross-domain CASes"
-           (AB.phase_to_string phase) slab.AB.cross_cas depot.AB.cross_cas)
+        (Printf.sprintf "%s: %d cross-domain CASes <= %d" label r.AB.cross_cas
+           max_cas)
         true
-        (slab.AB.cross_cas < depot.AB.cross_cas))
-    [ AB.Local; AB.Remote ]
-
-(* ------------------------------------------------------------------ *)
-(* Crash/cancel refinement sweep over the slab-backed entry: every
-   default refinement property (including the crash/cancel ones) under
-   DPOR and the pinned weighted-random seeds. *)
-
-let test_refine_slab_entry () =
-  let module Registry = Sec_harness.Registry in
-  let module Refine = Sec_refine.Refine in
-  List.iter
-    (fun (prop, strat, v) ->
-      match v with
-      | Refine.Refines _ -> ()
-      | v ->
-          Alcotest.failf "TRB-SLAB / %s / %s: %s" prop strat
-            (Refine.verdict_to_string v))
-    (Refine.check_entry ~max_schedules:300 ~runs:8 Registry.treiber_slab)
+        (r.AB.cross_cas <= max_cas);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d fresh nodes <= %d" label r.AB.fresh max_fresh)
+        true (r.AB.fresh <= max_fresh))
+    [ (AB.Local, 19_200, 0, 768); (AB.Remote, 9_600, 89, 2_094) ]
 
 let () =
   Alcotest.run "slab"
@@ -485,51 +226,18 @@ let () =
             test_node_granular_faces;
           Alcotest.test_case "create validates" `Quick test_create_validates;
         ] );
-      ( "arena",
-        [
-          Alcotest.test_case "round trip and slot reuse" `Quick
-            test_arena_round_trip_and_reuse;
-          Alcotest.test_case "remote-free batching" `Quick
-            test_arena_remote_batching;
-          Alcotest.test_case "exhaustion raises" `Quick
-            test_arena_exhaustion_raises;
-        ] );
-      ( "checker contract",
-        [
-          Alcotest.test_case "clean lifecycle" `Quick
-            test_checker_clean_slab_lifecycle;
-          Alcotest.test_case "slab double free" `Quick
-            test_checker_slab_double_free;
-          Alcotest.test_case "two owners of one slot" `Quick
-            test_checker_two_owners_reported;
-          Alcotest.test_case "alloc after release" `Quick
-            test_checker_alloc_after_release;
-          Alcotest.test_case "use after arena release" `Quick
-            test_checker_use_after_arena_release;
-        ] );
-      ( "seeded mutants (sim, pinned replay)",
-        [
-          Alcotest.test_case "double free caught" `Quick
-            test_sim_double_free_mutant_caught;
-          Alcotest.test_case "alloc after release caught" `Quick
-            test_sim_alloc_after_release_mutant_caught;
-        ] );
       ( "differential",
         [
-          Alcotest.test_case "TRB vs TRB-EBR vs TRB-SLAB lockstep" `Quick
-            test_differential_three_way;
-          Alcotest.test_case "TRB vs TRB-OFH lockstep" `Quick
-            test_differential_arena;
+          Alcotest.test_case "TRB vs TRB-EBR lockstep" `Quick
+            test_differential_lockstep;
           Alcotest.test_case "sim histories linearizable" `Quick
-            test_sim_linearizable_slab;
+            test_sim_linearizable;
           Alcotest.test_case "fewer allocations than Treiber" `Quick
             test_fewer_allocations_than_treiber;
         ] );
-      ( "acceptance",
+      ( "alloc microbench (sim, pinned seed)",
         [
-          Alcotest.test_case "slab strictly fewer cross-domain CAS" `Quick
-            test_slab_strictly_fewer_cas;
-          Alcotest.test_case "refinement sweep (TRB-SLAB)" `Slow
-            test_refine_slab_entry;
+          Alcotest.test_case "cross-domain CAS and fresh pinned" `Quick
+            test_pinned_cas_and_fresh;
         ] );
     ]

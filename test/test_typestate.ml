@@ -360,7 +360,7 @@ let test_shipped_automata_present () =
       (Ts.automata_of ts ~file:(Filename.concat dir path))
   in
   check "core/sec_stack.ml" "batch";
-  check "reclaim/magazine.ml" "depot";
+  check "reclaim/slab.ml" "partial";
   check "reclaim/ebr.ml" "epoch";
   Alcotest.(check (list string))
     "the unmutated library has no rule 11-13 diagnostics" []
@@ -383,21 +383,18 @@ let test_sec_stack_freeze_order_mutant () =
          && String.sub d.message 0 17 = "automaton 'batch'")
        (protocol_diags ts))
 
-let test_magazine_stale_cas_mutant () =
+let test_slab_stale_cas_mutant () =
   let ts =
-    analyze_mutant ~path:"reclaim/magazine.ml"
-      ~what:
-        "let cur = A.get t.depot in\n\
-        \      Global.note_depot_cas tid;\n\
-        \      if A.compare_and_set t.depot cur (chain :: cur) then ()"
-      ~with_:
-        "let cur = [] in\n\
-        \      Global.note_depot_cas tid;\n\
-        \      if A.compare_and_set t.depot cur (chain :: cur) then ()"
+    analyze_mutant ~path:"reclaim/slab.ml"
+      ~what:"let cur = A.get t.partial in" ~with_:"let cur = [] in"
   in
   Alcotest.(check bool)
-    "CASing the depot against a stale head violates 'depot'" true
-    (protocol_diags ts <> [])
+    "parking a slab against a stale head violates 'partial'" true
+    (List.exists
+       (fun (d : L.diagnostic) ->
+         String.length d.message >= 19
+         && String.sub d.message 0 19 = "automaton 'partial'")
+       (protocol_diags ts))
 
 let test_ebr_unscanned_advance_mutant () =
   let ts =
@@ -562,7 +559,7 @@ let () =
           quick "shipped automata present" test_shipped_automata_present;
           quick "sec_stack freeze-order mutant"
             test_sec_stack_freeze_order_mutant;
-          quick "magazine stale-CAS mutant" test_magazine_stale_cas_mutant;
+          quick "slab stale-CAS mutant" test_slab_stale_cas_mutant;
           quick "ebr unscanned-advance mutant"
             test_ebr_unscanned_advance_mutant;
         ] );
