@@ -22,9 +22,18 @@
      [batch_applied]; waiting pops find their results by indexing into the
      detached substack ([get_value]).
 
+   A batch that freezes with only its freezer's operation is not
+   replaced: the freezer CASes both counters shut, resets the batch and
+   reopens it at once, then applies its operation to the stack directly
+   (like a Treiber push or pop), so a thread alone on its aggregator
+   allocates no batch. An announcer whose fetch&add finds a counter shut
+   waits for the reopening and retries ([close_alone]).
+
    Linearization (paper, Section 5): eliminated pairs linearize together
    at the exchange; non-eliminated operations linearize at their
-   combiner's successful CAS, ordered by sequence number. *)
+   combiner's successful CAS, ordered by sequence number; an operation
+   alone in its batch linearizes at its own CAS on the stack top (a pop
+   of an empty stack, at its read of it). *)
 
 (* The combining protocol is blocking: an announcer whose batch's freezer
    (or combiner) is suspended spins on [batch_applied] forever. The
@@ -40,12 +49,21 @@
    snapshot writes [pop_at_freeze] strictly before [push_at_freeze]
    (push's elimination test reads pops-at-freeze through the push
    counter, so the reverse order would under-eliminate); and only a
-   fully snapped batch may be retired by installing its successor. *)
+   fully snapped batch may be retired by installing its successor. A
+   batch frozen with one operation is instead reused in place: frozen ->
+   closed (both counters CASed shut) -> reset ([freezer_decided] and
+   slot 0 cleared) -> open (both counters stored back to 0). Reopening
+   before the reset would hand sequence number 0 to an announcer that
+   then finds [freezer_decided] still set, and a batch nobody freezes. *)
 [@@@protocol
   "batch: open -rmw:push_count-> open; open -rmw:pop_count-> open; open \
    -write:elimination-> open; open -rmw:freezer_decided-> open; open \
    -write:pop_at_freeze-> snapped; snapped -write:push_at_freeze-> frozen; \
-   frozen -write:batch-> open"]
+   frozen -write:batch-> open; frozen -rmw:push_count-> closed; frozen \
+   -rmw:pop_count-> closed; closed -rmw:push_count-> closed; closed \
+   -rmw:pop_count-> closed; closed -write:batch-> open; closed \
+   -write:freezer_decided-> reset; reset -write:elimination-> reset; reset \
+   -write:push_count-> reset; reset -write:pop_count-> open"]
 
 module Make (P : Sec_prim.Prim_intf.S) = struct
   module A = P.Atomic
@@ -79,10 +97,17 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
         (* combined pops done reading [substack]; the last one may
            recycle the detached chain (only touched with
            [Config.recycle_nodes]) *)
-    prev_degree : int;
-        (* operations frozen into the batch this one replaced
-           ([unknown_degree] for an aggregator's first batch) *)
-    prev_freezer : int; (* tid that froze the batch this one replaced *)
+    mutable prev_degree : int;
+        [@plain_ok
+          "written only by a freezer that closed the batch alone, before \
+           its release stores reopening the counters; read after an \
+           announcer's fetch&add on a reopened counter"]
+        (* operations frozen into the batch this one replaced or, after
+           a lone life, into that life ([unknown_degree] for an
+           aggregator's first batch) *)
+    mutable prev_freezer : int;
+        [@plain_ok "written and published together with [prev_degree]"]
+        (* tid that froze that batch *)
   }
 
   type 'a aggregator = { batch : 'a batch A.t }
@@ -118,6 +143,19 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
   (* Degree recorded in an aggregator's first batch: no predecessor was
      observed, so its freezer takes the full initial probe. *)
   let unknown_degree = max_int
+
+  (* Counter value of a batch closed alone (see [close_alone]): far above
+     any count, so an announcer whose fetch&add returns [closed] or more
+     knows the batch is shut. *)
+  let closed = 1 lsl 40
+
+  (* Announcements of the current life on a counter. The freezer of a
+     lone life stores the two counters back to 0 one after the other,
+     so the next life's freezer may still find one of them closed: it
+     holds no announcement of that life yet. *)
+  let announcements c =
+    let v = A.get c in
+    if v >= closed then 0 else v
 
   let make_batch capacity ~prev_degree ~prev_freezer =
     {
@@ -201,6 +239,9 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Freezing (paper: FreezeBatch, lines 28–32)                          *)
 
+  let note_excluded t ~tid =
+    match t.stats with Some s -> Counter.incr s.excluded ~tid | None -> ()
+
   let record_batch_stats t ~tid ~pushes ~pops =
     match t.stats with
     | None -> ()
@@ -276,7 +317,9 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
          or a thread whose fetch&increment queues behind a few others
          misses every batch's window and starves. *)
       let extension = max 1024 (budget / 8) in
-      let announced () = A.get batch.push_count + A.get batch.pop_count in
+      let announced () =
+        announcements batch.push_count + announcements batch.pop_count
+      in
       P.relax initial;
       let after_initial = announced () in
       if after_initial > 1 then begin
@@ -292,6 +335,20 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
       end
     end
 
+  (* A batch frozen with one operation, its freezer's, is closed to later
+     announcers: its counters, read at 1 and 0 by the snapshot, are CASed
+     to [closed]. A failed CAS means someone announced after the
+     snapshot; that announcer is excluded as usual and may still read the
+     batch, so the batch is then retired as usual. *)
+  let close_alone batch ~pushed =
+    if pushed then
+      A.compare_and_set batch.push_count 1 closed
+      && A.compare_and_set batch.pop_count 0 closed
+    else
+      A.compare_and_set batch.pop_count 1 closed
+      && A.compare_and_set batch.push_count 0 closed
+
+  (* Freezes [batch] and returns whether it closed alone. *)
   let freeze_batch t ~tid aggregator batch =
     freezer_backoff t ~tid batch;
     (* When more live threads than [max_threads] announce into one batch,
@@ -304,31 +361,65 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
       if t.config.Config.mutation = Config.Batch_overflow then c
       else min c t.capacity
     in
-    let pops = clamp (A.get batch.pop_count) in
-    let pushes = clamp (A.get batch.push_count) in
+    let pops = clamp (announcements batch.pop_count) in
+    let pushes = clamp (announcements batch.push_count) in
     A.set batch.pop_at_freeze pops;
     A.set batch.push_at_freeze pushes;
     record_batch_stats t ~tid ~pushes ~pops;
     if t.config.Config.adaptive then adapt t ~ops:(pushes + pops);
-    (* Installing the new batch is what releases the waiting announcers;
-       it carries this batch's degree and freezer to its own freezer's
-       initial probe. *)
-    A.set aggregator.batch
-      (make_batch t.capacity ~prev_degree:(pushes + pops) ~prev_freezer:tid)
+    if pushes + pops = 1 && close_alone batch ~pushed:(pushes = 1) then begin
+      (* Closed alone: nobody else announced or can, and the freezer's
+         own operation never reads the batch again ([Alone]), so the
+         batch is its own successor. Undo what the operation wrote,
+         record this life for the next freezer's probe, and reopen. *)
+      A.set batch.freezer_decided false;
+      if pushes = 1 then A.set batch.elimination.(0) None;
+      batch.prev_degree <- 1;
+      batch.prev_freezer <- tid;
+      A.set batch.push_count 0;
+      A.set batch.pop_count 0;
+      true
+    end
+    else begin
+      (* Installing the new batch is what releases the waiting announcers;
+         it carries this batch's degree and freezer to its own freezer's
+         initial probe. *)
+      P.note_alloc ();
+      A.set aggregator.batch
+        (make_batch t.capacity ~prev_degree:(pushes + pops) ~prev_freezer:tid);
+      false
+    end
+
+  (* Where an announcement stands once its batch is frozen. [Alone]: it
+     froze and closed the batch by itself, and applies its operation to
+     the stack directly. *)
+  type membership = Excluded | Included | Alone
 
   (* Announce via FAA, then either freeze (if we won the seq-0 test&set
-     race) or wait until the freezer retires the batch. Returns true when
-     the caller's operation belongs to [batch]. *)
+     race) or wait until the freezer retires the batch. *)
   let announce_and_freeze t ~tid aggregator batch ~seq ~counter_at_freeze =
-    if seq = 0 && not (A.exchange batch.freezer_decided true) then
-      freeze_batch t ~tid aggregator batch
-    else Backoff.spin_while (fun () -> A.get aggregator.batch == batch);
-    let included = seq < A.get counter_at_freeze in
-    (if not included then
-       match t.stats with
-       | Some s -> Counter.incr s.excluded ~tid
-       | None -> ());
-    included
+    let alone =
+      if seq = 0 && not (A.exchange batch.freezer_decided true) then
+        freeze_batch t ~tid aggregator batch
+      else begin
+        Backoff.spin_while (fun () -> A.get aggregator.batch == batch);
+        false
+      end
+    in
+    if alone then Alone
+    else if seq < A.get counter_at_freeze then Included
+    else begin
+      note_excluded t ~tid;
+      Excluded
+    end
+
+  (* An announcer whose fetch&add found its counter closed touches
+     nothing else in [batch]: it waits until the batch is reopened (or,
+     if the close failed halfway, replaced) and retries. *)
+  let wait_closed t ~tid aggregator batch counter =
+    note_excluded t ~tid;
+    Backoff.spin_while (fun () ->
+        A.get aggregator.batch == batch && A.get counter >= closed)
 
   (* ------------------------------------------------------------------ *)
   (* Combining for pushes (paper: PushToStack, lines 33–51)              *)
@@ -411,6 +502,24 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     pop_attempt t batch (pop_frozen - seq) ~patience:(patience t ~tid batch)
       ~failed:0
 
+  (* An operation alone in its batch is its own combiner: it unlinks the
+     top node like a Treiber pop, and an empty stack is seen at the read.
+     Like a combiner whose freeze skipped the probe, it paces from its
+     second failed CAS. *)
+  let rec pop_alone t ~tid ~failed =
+    match A.get t.top with
+    | None -> None
+    | Some n as current_top ->
+        if A.compare_and_set t.top current_top n.next then begin
+          let v = n.value in
+          (match t.mag with Some mag -> Mag.recycle mag ~tid n | None -> ());
+          Some v
+        end
+        else begin
+          pace t ~patience:1 ~failed;
+          pop_alone t ~tid ~failed:(failed + 1)
+        end
+
   let get_value batch ~offset =
     let rec walk node k =
       match node with
@@ -468,34 +577,37 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     let rec try_batch () =
       let batch = A.get aggregator.batch in
       let seq = A.fetch_and_add batch.push_count 1 in
-      if seq >= t.capacity then begin
+      if seq >= closed then begin
+        wait_closed t ~tid aggregator batch batch.push_count;
+        try_batch ()
+      end
+      else if seq >= t.capacity then begin
         (* No elimination slot for us: more announcements landed in this
            batch than the stack was sized for (live threads exceed
            [max_threads]). The freeze snapshot clamps to [capacity], so we
            are excluded by construction — wait out the batch and retry. *)
-        (match t.stats with
-        | Some s -> Counter.incr s.excluded ~tid
-        | None -> ());
+        note_excluded t ~tid;
         Backoff.spin_while (fun () -> A.get aggregator.batch == batch);
         try_batch ()
       end
       else begin
         A.set batch.elimination.(seq) (Some node);
-        if
+        match
           announce_and_freeze t ~tid aggregator batch ~seq
             ~counter_at_freeze:batch.push_at_freeze
-        then begin
-          let pop_frozen = A.get batch.pop_at_freeze in
-          if seq >= pop_frozen then
-            (* Not eliminated; the smallest surviving push combines. *)
-            if seq = pop_frozen then begin
-              push_to_stack t ~tid batch ~seq;
-              A.set batch.batch_applied true
-            end
-            else Backoff.spin_until (fun () -> A.get batch.batch_applied)
-          (* else: a pop with our sequence number consumed our node. *)
-        end
-        else try_batch ()
+        with
+        | Excluded -> try_batch ()
+        | Alone -> push_attempt t node node ~patience:1 ~failed:0
+        | Included ->
+            let pop_frozen = A.get batch.pop_at_freeze in
+            if seq >= pop_frozen then
+              (* Not eliminated; the smallest surviving push combines. *)
+              if seq = pop_frozen then begin
+                push_to_stack t ~tid batch ~seq;
+                A.set batch.batch_applied true
+              end
+              else Backoff.spin_until (fun () -> A.get batch.batch_applied)
+            (* else: a pop with our sequence number consumed our node. *)
       end
     in
     try_batch ()
@@ -505,42 +617,51 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     let rec try_batch () =
       let batch = A.get aggregator.batch in
       let seq = A.fetch_and_add batch.pop_count 1 in
-      if
-        announce_and_freeze t ~tid aggregator batch ~seq
-          ~counter_at_freeze:batch.pop_at_freeze
-      then begin
-        let push_frozen = A.get batch.push_at_freeze in
-        if seq < push_frozen then begin
-          (* Eliminated: take the value deposited by the push that shares
-             our sequence number. We are that node's only reader, so with
-             recycling on it goes straight back to a magazine. *)
-          let n = node_of batch seq in
-          let v = n.value in
-          (match t.mag with Some mag -> Mag.recycle mag ~tid n | None -> ());
-          Some v
-        end
-        else begin
-          if seq = push_frozen then begin
-            pop_from_stack t ~tid batch ~seq;
-            A.set batch.batch_applied true
-          end
-          else Backoff.spin_until (fun () -> A.get batch.batch_applied);
-          let v = get_value batch ~offset:(seq - push_frozen) in
-          (match t.mag with
-          | Some mag ->
-              (* Participants in the combined phase are exactly the pops
-                 with sequence numbers in [push_frozen, pop_frozen) — the
-                 combiner included. The last to finish reading recycles
-                 the detached chain. *)
-              let total = A.get batch.pop_at_freeze - push_frozen in
-              let finished = A.fetch_and_add batch.consumed 1 + 1 in
-              if finished = total then
-                recycle_chain mag ~tid batch ~limit:total
-          | None -> ());
-          v
-        end
+      if seq >= closed then begin
+        wait_closed t ~tid aggregator batch batch.pop_count;
+        try_batch ()
       end
-      else try_batch ()
+      else
+        match
+          announce_and_freeze t ~tid aggregator batch ~seq
+            ~counter_at_freeze:batch.pop_at_freeze
+        with
+        | Excluded -> try_batch ()
+        | Alone -> pop_alone t ~tid ~failed:0
+        | Included ->
+            let push_frozen = A.get batch.push_at_freeze in
+            if seq < push_frozen then begin
+              (* Eliminated: take the value deposited by the push that
+                 shares our sequence number. We are that node's only
+                 reader, so with recycling on it goes straight back to a
+                 magazine. *)
+              let n = node_of batch seq in
+              let v = n.value in
+              (match t.mag with
+              | Some mag -> Mag.recycle mag ~tid n
+              | None -> ());
+              Some v
+            end
+            else begin
+              if seq = push_frozen then begin
+                pop_from_stack t ~tid batch ~seq;
+                A.set batch.batch_applied true
+              end
+              else Backoff.spin_until (fun () -> A.get batch.batch_applied);
+              let v = get_value batch ~offset:(seq - push_frozen) in
+              (match t.mag with
+              | Some mag ->
+                  (* Participants in the combined phase are exactly the
+                     pops with sequence numbers in [push_frozen,
+                     pop_frozen) — the combiner included. The last to
+                     finish reading recycles the detached chain. *)
+                  let total = A.get batch.pop_at_freeze - push_frozen in
+                  let finished = A.fetch_and_add batch.consumed 1 + 1 in
+                  if finished = total then
+                    recycle_chain mag ~tid batch ~limit:total
+              | None -> ());
+              v
+            end
     in
     try_batch ()
 

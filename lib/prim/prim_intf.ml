@@ -59,7 +59,7 @@ module type S = sig
   val rand_bits : unit -> int
 
   (** Account one hot-path heap allocation: a freshly constructed node
-      that did not come out of a recycler (see
+      (or SEC batch) that did not come out of a recycler (see
       {!Sec_reclaim.Magazine}). Native: a no-op — the GC's own counters
       already measure allocation. Simulator: bumps the run's
       [Sim.stats.allocs] without a scheduling event, so instrumenting a

@@ -270,6 +270,53 @@ let test_sec_elimination_all_schedules () =
   | Explore.Passed _ -> ()
   | other -> Alcotest.failf "expected Passed, got %s" (result_kind other)
 
+(* A batch frozen with one operation is closed, reset and reopened in
+   place. Two fibers on one aggregator, three operations each: a fiber
+   can read the batch, be preempted while the other freezes it alone,
+   and land its fetch&add on the closed counter, or on the batch's next
+   life. The 40-step quantum lets one fiber run a whole freeze in a
+   slice, so two forced switches can hold the other between its
+   fetch&add and its slot deposit meanwhile; the bounded space is then
+   swept completely. Every history, drained through recorded pops, must
+   be linearizable. Dropping the closed-counter check, the close, the
+   slot-0 reset, or reopening before the reset each fails here. *)
+module Sec_one_aggregator = struct
+  include Sec_core.Sec_stack.Make (SP)
+
+  let one =
+    { Sec_core.Config.default with Sec_core.Config.num_aggregators = 1 }
+
+  let create ?max_threads () = create_with ~config:one ?max_threads ()
+end
+
+let test_sec_lone_reuse_linearizable () =
+  let module R = Sec_spec.History.Instrument (SP) (Sec_one_aggregator) in
+  let scenario () =
+    let r = R.create ~max_threads:2 () in
+    let body tid () =
+      R.push r ~tid ((10 * tid) + 1);
+      ignore (R.pop r ~tid);
+      R.push r ~tid ((10 * tid) + 2)
+    in
+    ( [ body 0; body 1 ],
+      fun () ->
+        let rec drain k =
+          if k > 0 then
+            match R.pop r ~tid:0 with Some _ -> drain (k - 1) | None -> ()
+        in
+        drain 6;
+        Sec_spec.Lin_check.check (Sec_spec.History.events r.R.history)
+        = Sec_spec.Lin_check.Linearizable )
+  in
+  match
+    Explore.for_all ~max_preemptions:2 ~quantum:40 ~max_schedules:20_000
+      scenario
+  with
+  | Explore.Passed { schedules; truncated } ->
+      Alcotest.(check bool) "thousands of schedules" true (schedules > 1_000);
+      Alcotest.(check bool) "space not truncated" false truncated
+  | other -> Alcotest.failf "expected Passed, got %s" (result_kind other)
+
 (* -------------------------------------------------------------------- *)
 (* Pathology detection                                                   *)
 
@@ -339,6 +386,8 @@ let () =
             test_sec_conservation_all_schedules;
           Alcotest.test_case "sec elimination" `Slow
             test_sec_elimination_all_schedules;
+          Alcotest.test_case "sec lone reuse linearizable" `Slow
+            test_sec_lone_reuse_linearizable;
         ] );
       ( "pathologies",
         [

@@ -124,24 +124,35 @@ let test_stats_accounting_invariant () =
   Alcotest.(check bool) "eliminated count is even" true
     (st.Stats.eliminated mod 2 = 0)
 
+(* Balanced concurrent pushes and pops with a freezer backoff must
+   achieve a non-trivial elimination degree. Run in the simulator, where
+   the four threads really run at once: on a host that gives the process
+   about one core, native domains overlap only where the OS preempts one
+   mid-batch, so the native version of this test passed or failed with
+   the scheduler (it mostly passed while each operation allocated a batch
+   and minor GCs kept stopping every domain together). *)
 let test_stats_elimination_under_symmetry () =
-  (* Balanced concurrent pushes and pops with a freezer backoff must
-     achieve a non-trivial elimination degree. *)
-  let threads = 4 and ops = 4_000 in
-  let s =
-    Sec.create_with
-      ~config:{ (with_aggs ~stats:true 1) with Config.freeze_backoff = 256 }
-      ~max_threads:threads ()
+  let module SP = Sec_sim.Sim.Prim in
+  let module SimSec = Sec_core.Sec_stack.Make (SP) in
+  let threads = 4 and ops = 1_000 in
+  let st, _ =
+    Sec_sim.Sim.run ~seed:1 ~topology:Sec_sim.Topology.emerald (fun () ->
+        let s =
+          SimSec.create_with
+            ~config:
+              { (with_aggs ~stats:true 1) with Config.freeze_backoff = 256 }
+            ~max_threads:threads ()
+        in
+        for tid = 0 to threads - 1 do
+          Sec_sim.Sim.spawn (fun () ->
+              for i = 1 to ops do
+                if tid mod 2 = 0 then SimSec.push s ~tid i
+                else ignore (SimSec.pop s ~tid)
+              done)
+        done;
+        Sec_sim.Sim.await_all ();
+        SimSec.stats s)
   in
-  let body tid () =
-    for i = 1 to ops do
-      if tid mod 2 = 0 then Sec.push s ~tid i else ignore (Sec.pop s ~tid)
-    done
-  in
-  let ds = List.init (threads - 1) (fun i -> Domain.spawn (body (i + 1))) in
-  body 0 ();
-  List.iter Domain.join ds;
-  let st = Sec.stats s in
   Alcotest.(check bool)
     (Printf.sprintf "some elimination happened (%.1f%%)"
        (Stats.pct_eliminated st))
@@ -328,6 +339,45 @@ let test_lone_fiber_skips_probe () =
     (Printf.sprintf "%d virtual cycles/op under 150" per_op)
     true (per_op < 150)
 
+(* A batch frozen with one operation is closed, reset and reopened in
+   place instead of being replaced, so a lone fiber builds no batch after
+   [create]. [allocs] counts every push's node (recycling is off) plus
+   every batch built at a freeze; before the reuse, each of the 1000
+   operations built one. *)
+let test_lone_fiber_builds_no_batches () =
+  let ops = 1000 in
+  let (), stats =
+    Sec_sim.Sim.run ~seed:1 ~topology:Sec_sim.Topology.emerald (fun () ->
+        let s = SimSec.create_with ~config:Config.default ~max_threads:1 () in
+        Sec_sim.Sim.spawn (fun () ->
+            for i = 1 to ops / 2 do
+              SimSec.push s ~tid:0 i;
+              ignore (SimSec.pop s ~tid:0)
+            done);
+        Sec_sim.Sim.await_all ())
+  in
+  let batches = stats.Sec_sim.Sim.allocs - (ops / 2) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d batches built, at most 2" batches)
+    true (batches <= 2)
+
+(* The same natively: one domain alternating push and pop on one
+   aggregator allocated about 240 words per operation when each freeze
+   built a batch (8 padded counters and flags plus a padded slot per
+   thread); what is left is the node, its option boxes and closures. *)
+let test_lone_domain_allocation () =
+  let s = Sec.create_with ~config:(with_aggs 1) ~max_threads:2 () in
+  let rounds = 100_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to rounds do
+    Sec.push s ~tid:0 i;
+    ignore (Sec.pop s ~tid:0)
+  done;
+  let per_op = (Gc.minor_words () -. before) /. float_of_int (2 * rounds) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words/op under 60" per_op)
+    true (per_op < 60.)
+
 (* Under contention the previous batch's degree is far above 1, so every
    freezer keeps the full probe and gathers the same batches as before.
    56 fibers on emerald at 50/50 (perfbench's sim-update shape), 200k
@@ -452,6 +502,13 @@ let () =
             test_push_only_lockstep_broken;
           Alcotest.test_case "alternating pair linearizable" `Quick
             test_alternating_pair_linearizable;
+        ] );
+      ( "lone batch reuse",
+        [
+          Alcotest.test_case "lone fiber builds no batches" `Quick
+            test_lone_fiber_builds_no_batches;
+          Alcotest.test_case "lone domain allocation" `Quick
+            test_lone_domain_allocation;
         ] );
       ( "homogeneous workloads",
         [

@@ -161,12 +161,13 @@ let linearizability ?(threads = 3) ?(ops = 10) ?(rounds = 15) ?(peeks = true)
 (* ------------------------------------------------------------------ *)
 (* Suite assembly                                                       *)
 
-let standard_suite ?(threads = 4) ?(lin_threads = 3) (module S : STACK) =
+let standard_suite ?(threads = 4) ?(lin_threads = 3) ?peeks (module S : STACK)
+    =
   [
     Alcotest.test_case "sequential lifo" `Quick (sequential_lifo (module S));
     QCheck_alcotest.to_alcotest (qcheck_sequential_model (module S));
     Alcotest.test_case "conservation (4 domains)" `Quick
       (conservation ~threads (module S));
     Alcotest.test_case "linearizable histories" `Slow
-      (linearizability ~threads:lin_threads (module S));
+      (linearizability ~threads:lin_threads ?peeks (module S));
   ]
