@@ -22,12 +22,13 @@
      [batch_applied]; waiting pops find their results by indexing into the
      detached substack ([get_value]).
 
-   A batch that freezes with only its freezer's operation is not
-   replaced: the freezer CASes both counters shut, resets the batch and
-   reopens it at once, then applies its operation to the stack directly
-   (like a Treiber push or pop), so a thread alone on its aggregator
-   allocates no batch. An announcer whose fetch&add finds a counter shut
-   waits for the reopening and retries ([close_alone]).
+   On an aggregator that only one thread id reaches ([exclusive]), a
+   batch that freezes with only its freezer's operation is not replaced:
+   the freezer CASes both counters shut, resets the batch and reopens it
+   at once, then applies its operation to the stack directly (like a
+   Treiber push or pop), so that thread allocates no batch. An announcer
+   whose fetch&add finds a counter shut (another thread using the same
+   id) waits for the reopening and retries ([close_alone]).
 
    Linearization (paper, Section 5): eliminated pairs linearize together
    at the exchange; non-eliminated operations linearize at their
@@ -50,11 +51,12 @@
    (push's elimination test reads pops-at-freeze through the push
    counter, so the reverse order would under-eliminate); and only a
    fully snapped batch may be retired by installing its successor. A
-   batch frozen with one operation is instead reused in place: frozen ->
-   closed (both counters CASed shut) -> reset ([freezer_decided] and
-   slot 0 cleared) -> open (both counters stored back to 0). Reopening
-   before the reset would hand sequence number 0 to an announcer that
-   then finds [freezer_decided] still set, and a batch nobody freezes. *)
+   batch of an exclusive aggregator frozen with one operation is instead
+   reused in place: frozen -> closed (both counters CASed shut) -> reset
+   ([freezer_decided] and slot 0 cleared) -> open (both counters stored
+   back to 0). Reopening before the reset would hand sequence number 0
+   to an announcer that then finds [freezer_decided] still set, and a
+   batch nobody freezes. *)
 [@@@protocol
   "batch: open -rmw:push_count-> open; open -rmw:pop_count-> open; open \
    -write:elimination-> open; open -rmw:freezer_decided-> open; open \
@@ -97,20 +99,18 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
         (* combined pops done reading [substack]; the last one may
            recycle the detached chain (only touched with
            [Config.recycle_nodes]) *)
-    mutable prev_degree : int;
-        [@plain_ok
-          "written only by a freezer that closed the batch alone, before \
-           its release stores reopening the counters; read after an \
-           announcer's fetch&add on a reopened counter"]
-        (* operations frozen into the batch this one replaced or, after
-           a lone life, into that life ([unknown_degree] for an
-           aggregator's first batch) *)
-    mutable prev_freezer : int;
-        [@plain_ok "written and published together with [prev_degree]"]
-        (* tid that froze that batch *)
+    prev_degree : int;
+        (* operations frozen into the batch this one replaced
+           ([unknown_degree] for an aggregator's first batch) *)
+    prev_freezer : int; (* tid that froze the batch this one replaced *)
   }
 
-  type 'a aggregator = { batch : 'a batch A.t }
+  type 'a aggregator = {
+    batch : 'a batch A.t;
+    exclusive : bool;
+        (* only one tid below [capacity] routes here: its freezer need
+           not wait for others, and a batch it freezes alone is reused *)
+  }
 
   type stats_counters = {
     batches : Counter.t;
@@ -190,13 +190,21 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     {
       top = A.make_padded None;
       aggregators =
-        Array.init config.Config.num_aggregators (fun _ ->
-            {
-              batch =
-                A.make_padded
-                  (make_batch max_threads ~prev_degree:unknown_degree
-                     ~prev_freezer:(-1));
-            });
+        (let k = config.Config.num_aggregators in
+         Array.init k (fun i ->
+             {
+               batch =
+                 A.make_padded
+                   (make_batch max_threads ~prev_degree:unknown_degree
+                      ~prev_freezer:(-1));
+               (* Static routing sends aggregator [i] the tids below
+                  [max_threads] congruent to [i] mod [k]: one exactly
+                  when [i + k >= max_threads]. Adaptive routing changes
+                  [k], so there any tid may land anywhere. *)
+               exclusive =
+                 (if config.Config.adaptive then max_threads = 1
+                  else i + k >= max_threads);
+             }));
       capacity = max_threads;
       config;
       stats =
@@ -280,8 +288,8 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
         A.set t.active (k - 1)
     end
 
-  (* The freezer's first probe, in relax units. A thread that froze its
-     aggregator's previous batch alone skips it ([probe_skipped]); see
+  (* The freezer's first probe, in relax units. A freezer alone on its
+     aggregator, by routing or as last seen, skips it; see
      [freezer_backoff] and [pace]. *)
   let full_probe t = max 512 (t.config.Config.freeze_backoff / 32)
 
@@ -298,20 +306,24 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
      previous batch saw, and past the probe the freezer keeps waiting
      only while the batch is still growing, up to [freeze_backoff] relax
      units in total. *)
-  let freezer_backoff t ~tid batch =
+  let freezer_backoff t ~tid aggregator batch =
     let budget = t.config.Config.freeze_backoff in
     if budget > 0 then begin
-      (* Initial probe. If this thread froze the previous batch alone, it
-         is most likely still alone on its aggregator, so one relax unit
-         replaces the 512-unit probe that would otherwise be nearly all
-         of a lone thread's operation. The same-[tid] test matters: two
-         threads alternating on one aggregator also leave batches of
+      (* Initial probe. Nobody else can join a batch of an exclusive
+         aggregator, and a thread that froze the previous batch alone is
+         most likely still alone on its aggregator, so there one relax
+         unit replaces the 512-unit probe that would otherwise be nearly
+         all of a lone thread's operation. The same-[tid] test matters:
+         two threads alternating on one aggregator also leave batches of
          degree 1, each frozen by the other thread, and there the full
          probe is what lets them meet in one batch. The one unit is kept
          rather than none because it is still a yield (in the simulator,
          a scheduling point): an announcer already on its way can land,
          and the freezer then extends below as before. *)
-      let initial = if probe_skipped t ~tid batch then 1 else full_probe t in
+      let initial =
+        if aggregator.exclusive || probe_skipped t ~tid batch then 1
+        else full_probe t
+      in
       (* If anything else announced during the probe, keep extending in
          windows long enough to cover a contended cross-socket announce —
          or a thread whose fetch&increment queues behind a few others
@@ -335,11 +347,15 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
       end
     end
 
-  (* A batch frozen with one operation, its freezer's, is closed to later
-     announcers: its counters, read at 1 and 0 by the snapshot, are CASed
-     to [closed]. A failed CAS means someone announced after the
-     snapshot; that announcer is excluded as usual and may still read the
-     batch, so the batch is then retired as usual. *)
+  (* A batch of an exclusive aggregator frozen with one operation, its
+     freezer's, is closed to later announcers (threads sharing the id):
+     its counters, read at 1 and 0 by the snapshot, are CASed to
+     [closed]. A failed CAS means someone announced after the snapshot;
+     that announcer is excluded as usual and may still read the batch,
+     so the batch is then retired as usual. Shared aggregators never
+     close a batch: there, retiring every batch keeps the paper's
+     lifecycle, in which a thread that misses a batch meets the next
+     one's full probe. *)
   let close_alone batch ~pushed =
     if pushed then
       A.compare_and_set batch.push_count 1 closed
@@ -350,7 +366,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
 
   (* Freezes [batch] and returns whether it closed alone. *)
   let freeze_batch t ~tid aggregator batch =
-    freezer_backoff t ~tid batch;
+    freezer_backoff t ~tid aggregator batch;
     (* When more live threads than [max_threads] announce into one batch,
        the counters race past [capacity]. Announcements at or past it own
        no elimination slot (the push path bails out before depositing), so
@@ -367,15 +383,17 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     A.set batch.push_at_freeze pushes;
     record_batch_stats t ~tid ~pushes ~pops;
     if t.config.Config.adaptive then adapt t ~ops:(pushes + pops);
-    if pushes + pops = 1 && close_alone batch ~pushed:(pushes = 1) then begin
+    if
+      aggregator.exclusive
+      && pushes + pops = 1
+      && close_alone batch ~pushed:(pushes = 1)
+    then begin
       (* Closed alone: nobody else announced or can, and the freezer's
          own operation never reads the batch again ([Alone]), so the
-         batch is its own successor. Undo what the operation wrote,
-         record this life for the next freezer's probe, and reopen. *)
+         batch is its own successor. Undo what the operation wrote and
+         reopen. *)
       A.set batch.freezer_decided false;
       if pushes = 1 then A.set batch.elimination.(0) None;
-      batch.prev_degree <- 1;
-      batch.prev_freezer <- tid;
       A.set batch.push_count 0;
       A.set batch.pop_count 0;
       true
@@ -571,99 +589,96 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
         P.note_alloc ();
         ({ value; next = None } [@fresh_ok "recycling disabled in config"])
 
-  let push t ~tid value =
-    let aggregator = aggregator_of t tid in
-    let node = make_node t ~tid value in
-    let rec try_batch () =
-      let batch = A.get aggregator.batch in
-      let seq = A.fetch_and_add batch.push_count 1 in
-      if seq >= closed then begin
-        wait_closed t ~tid aggregator batch batch.push_count;
-        try_batch ()
-      end
-      else if seq >= t.capacity then begin
-        (* No elimination slot for us: more announcements landed in this
-           batch than the stack was sized for (live threads exceed
-           [max_threads]). The freeze snapshot clamps to [capacity], so we
-           are excluded by construction — wait out the batch and retry. *)
-        note_excluded t ~tid;
-        Backoff.spin_while (fun () -> A.get aggregator.batch == batch);
-        try_batch ()
-      end
-      else begin
-        A.set batch.elimination.(seq) (Some node);
-        match
-          announce_and_freeze t ~tid aggregator batch ~seq
-            ~counter_at_freeze:batch.push_at_freeze
-        with
-        | Excluded -> try_batch ()
-        | Alone -> push_attempt t node node ~patience:1 ~failed:0
-        | Included ->
-            let pop_frozen = A.get batch.pop_at_freeze in
-            if seq >= pop_frozen then
-              (* Not eliminated; the smallest surviving push combines. *)
-              if seq = pop_frozen then begin
-                push_to_stack t ~tid batch ~seq;
-                A.set batch.batch_applied true
-              end
-              else Backoff.spin_until (fun () -> A.get batch.batch_applied)
-            (* else: a pop with our sequence number consumed our node. *)
-      end
-    in
-    try_batch ()
+  (* The retry loops are top-level functions rather than closures local
+     to [push] and [pop]: a local closure would be allocated on every
+     operation, with a word for each helper it calls. *)
+  let rec push_batch t ~tid aggregator node =
+    let batch = A.get aggregator.batch in
+    let seq = A.fetch_and_add batch.push_count 1 in
+    if seq >= closed then begin
+      wait_closed t ~tid aggregator batch batch.push_count;
+      push_batch t ~tid aggregator node
+    end
+    else if seq >= t.capacity then begin
+      (* No elimination slot for us: more announcements landed in this
+         batch than the stack was sized for (live threads exceed
+         [max_threads]). The freeze snapshot clamps to [capacity], so we
+         are excluded by construction — wait out the batch and retry. *)
+      note_excluded t ~tid;
+      Backoff.spin_while (fun () -> A.get aggregator.batch == batch);
+      push_batch t ~tid aggregator node
+    end
+    else begin
+      A.set batch.elimination.(seq) (Some node);
+      match
+        announce_and_freeze t ~tid aggregator batch ~seq
+          ~counter_at_freeze:batch.push_at_freeze
+      with
+      | Excluded -> push_batch t ~tid aggregator node
+      | Alone -> push_attempt t node node ~patience:1 ~failed:0
+      | Included ->
+          let pop_frozen = A.get batch.pop_at_freeze in
+          if seq >= pop_frozen then
+            (* Not eliminated; the smallest surviving push combines. *)
+            if seq = pop_frozen then begin
+              push_to_stack t ~tid batch ~seq;
+              A.set batch.batch_applied true
+            end
+            else Backoff.spin_until (fun () -> A.get batch.batch_applied)
+          (* else: a pop with our sequence number consumed our node. *)
+    end
 
-  let pop t ~tid =
-    let aggregator = aggregator_of t tid in
-    let rec try_batch () =
-      let batch = A.get aggregator.batch in
-      let seq = A.fetch_and_add batch.pop_count 1 in
-      if seq >= closed then begin
-        wait_closed t ~tid aggregator batch batch.pop_count;
-        try_batch ()
-      end
-      else
-        match
-          announce_and_freeze t ~tid aggregator batch ~seq
-            ~counter_at_freeze:batch.pop_at_freeze
-        with
-        | Excluded -> try_batch ()
-        | Alone -> pop_alone t ~tid ~failed:0
-        | Included ->
-            let push_frozen = A.get batch.push_at_freeze in
-            if seq < push_frozen then begin
-              (* Eliminated: take the value deposited by the push that
-                 shares our sequence number. We are that node's only
-                 reader, so with recycling on it goes straight back to a
-                 magazine. *)
-              let n = node_of batch seq in
-              let v = n.value in
-              (match t.mag with
-              | Some mag -> Mag.recycle mag ~tid n
-              | None -> ());
-              Some v
+  let push t ~tid value =
+    push_batch t ~tid (aggregator_of t tid) (make_node t ~tid value)
+
+  let rec pop_batch t ~tid aggregator =
+    let batch = A.get aggregator.batch in
+    let seq = A.fetch_and_add batch.pop_count 1 in
+    if seq >= closed then begin
+      wait_closed t ~tid aggregator batch batch.pop_count;
+      pop_batch t ~tid aggregator
+    end
+    else
+      match
+        announce_and_freeze t ~tid aggregator batch ~seq
+          ~counter_at_freeze:batch.pop_at_freeze
+      with
+      | Excluded -> pop_batch t ~tid aggregator
+      | Alone -> pop_alone t ~tid ~failed:0
+      | Included ->
+          let push_frozen = A.get batch.push_at_freeze in
+          if seq < push_frozen then begin
+            (* Eliminated: take the value deposited by the push that
+               shares our sequence number. We are that node's only
+               reader, so with recycling on it goes straight back to a
+               magazine. *)
+            let n = node_of batch seq in
+            let v = n.value in
+            (match t.mag with Some mag -> Mag.recycle mag ~tid n | None -> ());
+            Some v
+          end
+          else begin
+            if seq = push_frozen then begin
+              pop_from_stack t ~tid batch ~seq;
+              A.set batch.batch_applied true
             end
-            else begin
-              if seq = push_frozen then begin
-                pop_from_stack t ~tid batch ~seq;
-                A.set batch.batch_applied true
-              end
-              else Backoff.spin_until (fun () -> A.get batch.batch_applied);
-              let v = get_value batch ~offset:(seq - push_frozen) in
-              (match t.mag with
-              | Some mag ->
-                  (* Participants in the combined phase are exactly the
-                     pops with sequence numbers in [push_frozen,
-                     pop_frozen) — the combiner included. The last to
-                     finish reading recycles the detached chain. *)
-                  let total = A.get batch.pop_at_freeze - push_frozen in
-                  let finished = A.fetch_and_add batch.consumed 1 + 1 in
-                  if finished = total then
-                    recycle_chain mag ~tid batch ~limit:total
-              | None -> ());
-              v
-            end
-    in
-    try_batch ()
+            else Backoff.spin_until (fun () -> A.get batch.batch_applied);
+            let v = get_value batch ~offset:(seq - push_frozen) in
+            (match t.mag with
+            | Some mag ->
+                (* Participants in the combined phase are exactly the
+                   pops with sequence numbers in [push_frozen,
+                   pop_frozen) — the combiner included. The last to
+                   finish reading recycles the detached chain. *)
+                let total = A.get batch.pop_at_freeze - push_frozen in
+                let finished = A.fetch_and_add batch.consumed 1 + 1 in
+                if finished = total then
+                  recycle_chain mag ~tid batch ~limit:total
+            | None -> ());
+            v
+          end
+
+  let pop t ~tid = pop_batch t ~tid (aggregator_of t tid)
 
   (* With recycling off, a node reachable from [top] is immutable, so one
      read suffices. With recycling on, the node could be popped, recycled

@@ -270,29 +270,26 @@ let test_sec_elimination_all_schedules () =
   | Explore.Passed _ -> ()
   | other -> Alcotest.failf "expected Passed, got %s" (result_kind other)
 
-(* A batch frozen with one operation is closed, reset and reopened in
-   place. Two fibers on one aggregator, three operations each: a fiber
-   can read the batch, be preempted while the other freezes it alone,
-   and land its fetch&add on the closed counter, or on the batch's next
-   life. The 40-step quantum lets one fiber run a whole freeze in a
-   slice, so two forced switches can hold the other between its
-   fetch&add and its slot deposit meanwhile; the bounded space is then
-   swept completely. Every history, drained through recorded pops, must
-   be linearizable. Dropping the closed-counter check, the close, the
-   slot-0 reset, or reopening before the reset each fails here. *)
-module Sec_one_aggregator = struct
+(* On an aggregator one thread id owns, a batch frozen with one
+   operation is closed, reset and reopened in place. Two aggregators for
+   three ids: tid 1 owns aggregator 1 and reuses its batch, tids 0 and 2
+   share aggregator 0 and retire every batch. Fibers 0 and 1, three
+   operations each, so the reused batch's direct CASes on [top]
+   interleave with a freezer's probe and a combiner's CAS. Every history,
+   drained through recorded pops, must be linearizable. *)
+module Sec_one_exclusive = struct
   include Sec_core.Sec_stack.Make (SP)
 
-  let one =
-    { Sec_core.Config.default with Sec_core.Config.num_aggregators = 1 }
+  let two =
+    { Sec_core.Config.default with Sec_core.Config.num_aggregators = 2 }
 
-  let create ?max_threads () = create_with ~config:one ?max_threads ()
+  let create ?max_threads:_ () = create_with ~config:two ~max_threads:3 ()
 end
 
 let test_sec_lone_reuse_linearizable () =
-  let module R = Sec_spec.History.Instrument (SP) (Sec_one_aggregator) in
+  let module R = Sec_spec.History.Instrument (SP) (Sec_one_exclusive) in
   let scenario () =
-    let r = R.create ~max_threads:2 () in
+    let r = R.create ~max_threads:3 () in
     let body tid () =
       R.push r ~tid ((10 * tid) + 1);
       ignore (R.pop r ~tid);
@@ -307,6 +304,42 @@ let test_sec_lone_reuse_linearizable () =
         drain 6;
         Sec_spec.Lin_check.check (Sec_spec.History.events r.R.history)
         = Sec_spec.Lin_check.Linearizable )
+  in
+  match
+    Explore.for_all ~max_preemptions:2 ~quantum:40 ~max_schedules:20_000
+      scenario
+  with
+  | Explore.Passed { schedules; truncated } ->
+      Alcotest.(check bool) "thousands of schedules" true (schedules > 1_000);
+      Alcotest.(check bool) "space not truncated" false truncated
+  | other -> Alcotest.failf "expected Passed, got %s" (result_kind other)
+
+(* Two fibers sharing the one id of an exclusive aggregator: a fiber can
+   read the batch, be preempted while the other freezes it alone, and
+   land its fetch&add on the closed counter, on the batch's next life, or
+   between the other's snapshot and close (which then fails and retires
+   the batch). The 40-step quantum lets one fiber run a whole freeze in
+   a slice, so two forced switches can hold the other between its
+   fetch&add and its slot deposit meanwhile; the bounded space is then
+   swept completely. Every value pushed must be popped exactly once. *)
+let test_sec_lone_reuse_shared_id () =
+  let module Sec = Sec_core.Sec_stack.Make (SP) in
+  let scenario () =
+    let s = Sec.create ~max_threads:1 () in
+    let popped = ref [] in
+    let body base () =
+      Sec.push s ~tid:0 (base + 1);
+      (match Sec.pop s ~tid:0 with
+      | Some v -> popped := v :: !popped
+      | None -> ());
+      Sec.push s ~tid:0 (base + 2)
+    in
+    ( [ body 10; body 20 ],
+      fun () ->
+        let rec drain acc =
+          match Sec.pop s ~tid:0 with Some v -> drain (v :: acc) | None -> acc
+        in
+        List.sort compare (drain !popped) = [ 11; 12; 21; 22 ] )
   in
   match
     Explore.for_all ~max_preemptions:2 ~quantum:40 ~max_schedules:20_000
@@ -388,6 +421,8 @@ let () =
             test_sec_elimination_all_schedules;
           Alcotest.test_case "sec lone reuse linearizable" `Slow
             test_sec_lone_reuse_linearizable;
+          Alcotest.test_case "sec lone reuse shared id" `Slow
+            test_sec_lone_reuse_shared_id;
         ] );
       ( "pathologies",
         [

@@ -383,27 +383,24 @@ let test_sec_stack_freeze_order_mutant () =
          && String.sub d.message 0 17 = "automaton 'batch'")
        (protocol_diags ts))
 
-(* A batch frozen alone is closed, reset and reopened in place; storing
-   the counters back to 0 before [freezer_decided] is cleared hands
-   sequence number 0 to an announcer that then loses the freezer race to
-   nobody, and no one freezes the batch. *)
+(* A batch of an exclusive aggregator frozen alone is closed, reset and
+   reopened in place; storing the counters back to 0 before
+   [freezer_decided] is cleared hands sequence number 0 to an announcer
+   that then loses the freezer race to nobody, and no one freezes the
+   batch. *)
 let test_sec_stack_reopen_before_reset_mutant () =
   let ts =
     analyze_mutant ~path:"core/sec_stack.ml"
       ~what:
         "      A.set batch.freezer_decided false;\n\
         \      if pushes = 1 then A.set batch.elimination.(0) None;\n\
-        \      batch.prev_degree <- 1;\n\
-        \      batch.prev_freezer <- tid;\n\
         \      A.set batch.push_count 0;\n\
         \      A.set batch.pop_count 0;\n"
       ~with_:
         "      A.set batch.push_count 0;\n\
         \      A.set batch.pop_count 0;\n\
         \      A.set batch.freezer_decided false;\n\
-        \      if pushes = 1 then A.set batch.elimination.(0) None;\n\
-        \      batch.prev_degree <- 1;\n\
-        \      batch.prev_freezer <- tid;\n"
+        \      if pushes = 1 then A.set batch.elimination.(0) None;\n"
   in
   Alcotest.(check bool)
     "reopening the counters before the reset violates 'batch'" true
