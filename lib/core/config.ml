@@ -30,11 +30,15 @@ type t = {
           arrive, up to this total. A longer wait lets more operations
           join the batch, raising the elimination and combining degrees
           (paper, Section 3.1). The wait opens with a probe of
-          [max 512 (freeze_backoff / 32)] units, cut to a single unit
-          when the same thread froze the aggregator's previous batch
-          with at most one operation in it (a thread alone on its
-          aggregator); see [Sec_stack.freezer_backoff]. [0] freezes
-          immediately (the ablation benchmark uses this). *)
+          [max 512 (freeze_backoff / 32)] units ([Sec_stack.full_probe]),
+          cut to a single unit when the same thread froze the
+          aggregator's previous batch with at most one operation in it (a
+          thread alone on its aggregator); past the probe it extends in
+          windows of [max 1024 (freeze_backoff / 8)] units while the
+          batch still grows, so a budget of 512 or less never extends;
+          see [Sec_stack.Batched.freezer_backoff]. [0] freezes
+          immediately (the ablation benchmark uses this). The stack
+          defaults to 1024; [Sec_pool.create] sets 512. *)
   collect_stats : bool;
       (** Record per-batch statistics (batching degree, %eliminated,
           %combined — Tables 1–3). Costs a few striped-counter updates per

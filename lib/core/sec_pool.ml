@@ -2,12 +2,12 @@
    claim made concrete (Sections 1 and 7: the sharded elimination and
    combining mechanisms apply to other structures, e.g. pools [13]).
 
-   Same machinery as {!Sec_stack}: aggregators, counter-based freezing,
-   batch-level elimination, one combiner per batch. The difference is the
-   backing store: a pool does not promise LIFO across threads, so each
-   aggregator keeps its *own* Treiber-style backing stack. A push-majority
-   combiner appends its substack to its aggregator's local top; a
-   pop-majority combiner detaches from the local top first and steals from
+   The pool is SEC's batch protocol ({!Sec_stack.Batched}: aggregators,
+   freezing, batch-level elimination, one combiner per batch, lone-batch
+   reuse) over a different backing store. A pool does not promise LIFO
+   across threads, so each aggregator keeps its *own* Treiber-style
+   stack. A push-side combiner appends its substack to its aggregator's
+   top; a pop-side combiner detaches from that top first and steals from
    the other aggregators' tops if it comes up short. There is no globally
    shared hot line at all.
 
@@ -22,255 +22,96 @@
 [@@@spec "pool"]
 
 module Make (P : Sec_prim.Prim_intf.S) = struct
-  module A = P.Atomic
-  module Backoff = Sec_prim.Backoff.Make (P)
+  module Top = Sec_stack.Shared_top (P)
 
-  type 'a node = {
-    value : 'a;
-    mutable next : 'a node option;
-        [@plain_ok
-          "linked while the node is still private to one combiner; \
-           published wholesale by the combiner's release CAS on the \
-           backing stack's top"]
-  }
+  (* The stack's store, once per aggregator. *)
+  module Store = struct
+    type 'a t = 'a Top.t array
 
-  type 'a batch = {
-    push_count : int A.t;
-    pop_count : int A.t;
-    push_at_freeze : int A.t;
-    pop_at_freeze : int A.t;
-    elimination : 'a node option A.t array;
-    freezer_decided : bool A.t;
-    batch_applied : bool A.t;
-    substack : 'a node option A.t;
-  }
+    let create config ~aggregators =
+      Array.init aggregators (fun _ -> Top.create config ~aggregators:1)
 
-  type 'a aggregator = {
-    batch : 'a batch A.t;
-    local_top : 'a node option A.t; (* this aggregator's backing stack *)
-  }
+    let append s ~agg ~patience bottom top =
+      Top.append s.(agg) ~agg ~patience bottom top
 
-  type 'a t = {
-    aggregators : 'a aggregator array;
-    capacity : int;
-    freeze_backoff : int;
-  }
+    (* How many of the first [k] nodes of a chain from [n] it has. *)
+    let rec span (n : _ Sec_stack.node) k =
+      match n.next with Some m when k > 1 -> 1 + span m (k - 1) | _ -> 1
+
+    let rec last (n : _ Sec_stack.node) =
+      match n.next with Some m -> last m | None -> n
+
+    (* Source [j] of a pop from aggregator [agg]: its own store first,
+       then the others' in turn (stealing). *)
+    let source s ~agg j = s.((agg + j) mod Array.length s)
+
+    (* Hangs what sources [j..] yield, up to [wanted] nodes, after [tail].
+       A segment shorter than asked emptied its store, so [tail], its
+       last node, ends at [None]; the last segment may still point into
+       a live store, but readers stop after [wanted] nodes. *)
+    let rec steal s ~agg ~patience tail wanted j =
+      if j < Array.length s then
+        match Top.detach (source s ~agg j) ~agg ~patience wanted with
+        | None -> steal s ~agg ~patience tail wanted (j + 1)
+        | Some n as segment ->
+            tail.Sec_stack.next <- segment;
+            let taken = span n wanted in
+            if taken < wanted then
+              steal s ~agg ~patience (last n) (wanted - taken) (j + 1)
+
+    (* The first non-empty source's segment, extended by [steal]. *)
+    let rec detach_from s ~agg ~patience wanted j =
+      if j = Array.length s then None
+      else
+        match Top.detach (source s ~agg j) ~agg ~patience wanted with
+        | None -> detach_from s ~agg ~patience wanted (j + 1)
+        | Some n as chain ->
+            let taken = span n wanted in
+            if taken < wanted then
+              steal s ~agg ~patience (last n) (wanted - taken) (j + 1);
+            chain
+
+    let detach s ~agg ~patience wanted = detach_from s ~agg ~patience wanted 0
+
+    let rec pop_from s ~agg j =
+      if j = Array.length s then None
+      else
+        match Top.pop_alone (source s ~agg j) ~agg with
+        | None -> pop_from s ~agg (j + 1)
+        | popped -> popped
+
+    let pop_alone s ~agg = pop_from s ~agg 0
+  end
+
+  module Core = Sec_stack.Batched (P) (Store)
+
+  type 'a t = 'a Core.t
 
   let name = "SEC-pool"
 
-  let make_batch capacity =
-    {
-      push_count = A.make_padded 0;
-      pop_count = A.make_padded 0;
-      push_at_freeze = A.make_padded (-1);
-      pop_at_freeze = A.make_padded (-1);
-      (* Per-thread announcement slots: pad so neighbouring announcers do
-         not false-share (same reasoning as Sec_stack.make_batch). *)
-      elimination = Array.init capacity (fun _ -> A.make_padded None);
-      freezer_decided = A.make_padded false;
-      batch_applied = A.make_padded false;
-      substack = A.make_padded None;
-    }
+  (* The pool's freezer budget is 512 relax units, half the stack's. At
+     512 the freezer never extends its probe; at 1024 it adds a
+     1024-unit window whenever a second operation arrives, which made
+     the pool 2.5x slower at 4 and 8 threads in the simulator
+     (extension-pool, seed 1). *)
+  let create ?(aggregators = 2) ?(max_threads = 64) () =
+    Core.create_with
+      ~config:
+        {
+          Config.default with
+          Config.num_aggregators = aggregators;
+          freeze_backoff = 512;
+        }
+      ~max_threads ()
 
-  let create ?(aggregators = 2) ?(freeze_backoff = 512) ?(max_threads = 64) ()
-      =
-    if aggregators < 1 then invalid_arg "Sec_pool.create: aggregators >= 1";
-    {
-      aggregators =
-        Array.init aggregators (fun _ ->
-            {
-              batch = A.make_padded (make_batch max_threads);
-              local_top = A.make_padded None;
-            });
-      capacity = max_threads;
-      freeze_backoff;
-    }
-
-  let aggregator_of t tid = t.aggregators.(tid mod Array.length t.aggregators)
-
-  let freeze_batch t aggregator batch =
-    if t.freeze_backoff > 0 then P.relax t.freeze_backoff;
-    (* Clamp: announcements at or past [capacity] own no elimination slot
-       (the push path bails out before depositing) and must be excluded;
-       they retry in a later batch. Same hazard as {!Sec_stack}. *)
-    A.set batch.pop_at_freeze (min (A.get batch.pop_count) t.capacity);
-    A.set batch.push_at_freeze (min (A.get batch.push_count) t.capacity);
-    A.set aggregator.batch (make_batch t.capacity)
-
-  let announce_and_freeze t aggregator batch ~seq ~counter_at_freeze =
-    if seq = 0 && not (A.exchange batch.freezer_decided true) then
-      freeze_batch t aggregator batch
-    else Backoff.spin_while (fun () -> A.get aggregator.batch == batch);
-    seq < A.get counter_at_freeze
-
-  let node_of batch i =
-    Backoff.spin_until (fun () ->
-        match A.get batch.elimination.(i) with Some _ -> true | None -> false);
-    match A.get batch.elimination.(i) with
-    | Some n -> n
-    | None -> assert false
-
-  (* ------------------------------------------------------------------ *)
-  (* Combining                                                           *)
-
-  let push_to_local aggregator batch ~seq =
-    let push_frozen = A.get batch.push_at_freeze in
-    let bottom = node_of batch seq in
-    let top_of_substack = ref bottom in
-    for i = seq + 1 to push_frozen - 1 do
-      let n = node_of batch i in
-      n.next <- Some !top_of_substack;
-      top_of_substack := n
-    done;
-    let backoff = Backoff.create () in
-    let rec attempt () =
-      let current = A.get aggregator.local_top in
-      bottom.next <- current;
-      if not (A.compare_and_set aggregator.local_top current (Some !top_of_substack))
-      then begin
-        Backoff.once backoff;
-        attempt ()
-      end
-    in
-    attempt ()
-
-  (* Detach up to [wanted] nodes from [source]; returns the detached
-     segment (head, last, taken). As in SEC's PopFromStack, the detached
-     segment's last node may still point into the live stack — the caller
-     relinks it, which is safe because detached nodes are only ever read
-     through the bounded [collect_value] walk. *)
-  let detach_from source ~wanted =
-    let backoff = Backoff.create () in
-    let rec attempt () =
-      match A.get source with
-      | None -> None
-      | Some head as current ->
-          let rec walk node taken last =
-            if taken = wanted then (last, taken)
-            else
-              match node with
-              | None -> (last, taken)
-              | Some n -> walk n.next (taken + 1) (Some n)
-          in
-          let last, taken = walk current 0 None in
-          let remainder =
-            match last with None -> None | Some l -> l.next
-          in
-          if A.compare_and_set source current remainder then
-            Some (head, Option.get last, taken)
-          else begin
-            Backoff.once backoff;
-            attempt ()
-          end
-    in
-    attempt ()
-
-  let pop_from_stores t aggregator batch ~seq =
-    let pop_frozen = A.get batch.pop_at_freeze in
-    let needed = pop_frozen - seq in
-    (* Own store first, then the others (sharded stealing). *)
-    let own = aggregator.local_top in
-    let sources =
-      own
-      :: (Array.to_list t.aggregators
-         |> List.filter_map (fun a ->
-                if a.local_top == own then None else Some a.local_top))
-    in
-    let head = ref None in
-    let tail = ref None in
-    let have = ref 0 in
-    List.iter
-      (fun source ->
-        if !have < needed then
-          match detach_from source ~wanted:(needed - !have) with
-          | None -> ()
-          | Some (h, l, taken) ->
-              (match !tail with
-              | None -> head := Some h
-              | Some t -> t.next <- Some h);
-              tail := Some l;
-              have := !have + taken)
-      sources;
-    (* Terminate the collected chain: the final segment's last node may
-       still point into a live stack. *)
-    (match !tail with None -> () | Some l -> l.next <- None);
-    A.set batch.substack !head
-
-  let collect_value batch ~offset =
-    let rec walk node k =
-      match node with
-      | None -> None
-      | Some n -> if k = 0 then Some n.value else walk n.next (k - 1)
-    in
-    walk (A.get batch.substack) offset
-
-  (* ------------------------------------------------------------------ *)
-  (* Operations                                                          *)
-
-  let push t ~tid value =
-    let aggregator = aggregator_of t tid in
-    let node = { value; next = None } in
-    let rec try_batch () =
-      let batch = A.get aggregator.batch in
-      let seq = A.fetch_and_add batch.push_count 1 in
-      if seq >= t.capacity then begin
-        (* More announcements than the pool was sized for landed in this
-           batch; the freeze snapshot clamps to [capacity], so we are
-           excluded by construction — wait out the batch and retry. *)
-        Backoff.spin_while (fun () -> A.get aggregator.batch == batch);
-        try_batch ()
-      end
-      else begin
-        A.set batch.elimination.(seq) (Some node);
-        if
-          announce_and_freeze t aggregator batch ~seq
-            ~counter_at_freeze:batch.push_at_freeze
-        then begin
-          let pop_frozen = A.get batch.pop_at_freeze in
-          if seq >= pop_frozen then
-            if seq = pop_frozen then begin
-              push_to_local aggregator batch ~seq;
-              A.set batch.batch_applied true
-            end
-            else Backoff.spin_until (fun () -> A.get batch.batch_applied)
-        end
-        else try_batch ()
-      end
-    in
-    try_batch ()
-
-  let pop t ~tid =
-    let aggregator = aggregator_of t tid in
-    let rec try_batch () =
-      let batch = A.get aggregator.batch in
-      let seq = A.fetch_and_add batch.pop_count 1 in
-      if
-        announce_and_freeze t aggregator batch ~seq
-          ~counter_at_freeze:batch.pop_at_freeze
-      then begin
-        let push_frozen = A.get batch.push_at_freeze in
-        if seq < push_frozen then Some (node_of batch seq).value
-        else begin
-          if seq = push_frozen then begin
-            pop_from_stores t aggregator batch ~seq;
-            A.set batch.batch_applied true
-          end
-          else Backoff.spin_until (fun () -> A.get batch.batch_applied);
-          collect_value batch ~offset:(seq - push_frozen)
-        end
-      end
-      else try_batch ()
-    in
-    try_batch ()
+  (* Applied rather than aliased: sec_lint's call graph follows
+     applications, and through them the batch protocol's waits that make
+     this module blocking (rule 12). *)
+  let push t ~tid value = Core.push t ~tid value
+  let pop t ~tid = Core.pop t ~tid
 
   (* Total nodes across the backing stores. O(n); single snapshot per
      store; tests and examples only. *)
   let size t =
-    Array.fold_left
-      (fun acc agg ->
-        let rec count node n =
-          match node with None -> n | Some x -> count x.next (n + 1)
-        in
-        acc + count (A.get agg.local_top) 0)
-      0 t.aggregators
+    Array.fold_left (fun acc top -> acc + Top.depth top) 0 (Core.store t)
 end

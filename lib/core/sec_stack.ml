@@ -17,18 +17,23 @@
      pairwise through the elimination array;
    - the survivors are all of one type; the one with the lowest surviving
      sequence number becomes the *combiner* and applies them all to the
-     shared Treiber-style stack with a single CAS (appending a pre-linked
-     substack, or unlinking a chain of nodes), then raises
-     [batch_applied]; waiting pops find their results by indexing into the
-     detached substack ([get_value]).
+     backing store with a single CAS (appending a pre-linked substack, or
+     unlinking a chain of nodes), then raises [batch_applied]; waiting
+     pops find their results by indexing into the detached substack
+     ([get_value]).
 
    On an aggregator that only one thread id reaches ([exclusive]), a
    batch that freezes with only its freezer's operation is not replaced:
    the freezer CASes both counters shut, resets the batch and reopens it
-   at once, then applies its operation to the stack directly (like a
+   at once, then applies its operation to the store directly (like a
    Treiber push or pop), so that thread allocates no batch. An announcer
    whose fetch&add finds a counter shut (another thread using the same
    id) waits for the reopening and retries ([close_alone]).
+
+   The batch protocol ([Batched]) is a functor over its backing store
+   ({!STORE}): the structure the combiners apply their batches to. [Make]
+   plugs in one shared top ([Shared_top]); {!Sec_pool} plugs in one top
+   per aggregator with stealing pops.
 
    Linearization (paper, Section 5): eliminated pairs linearize together
    at the exchange; non-eliminated operations linearize at their
@@ -67,23 +72,43 @@
    -write:freezer_decided-> reset; reset -write:elimination-> reset; reset \
    -write:push_count-> reset; reset -write:pop_count-> open"]
 
-module Make (P : Sec_prim.Prim_intf.S) = struct
+type 'a node = {
+  mutable value : 'a;
+      [@plain_ok
+        "written while the node is private to its pusher (fresh, or \
+         recycled after its last reader provably finished); published \
+         by the elimination-slot store or the combiner's CAS on a store \
+         top"]
+  mutable next : 'a node option;
+      [@plain_ok
+        "linked while the node is still private to one combiner; \
+         published wholesale by the combiner's release CAS on a store \
+         top"]
+}
+
+(* The freezer's first probe, in relax units, and the range of a paced
+   retry's random wait. A freezer alone on its aggregator, by routing or
+   as last seen, skips the probe; see [freezer_backoff] and
+   [Shared_top.pace]. *)
+let full_probe config = max 512 (config.Config.freeze_backoff / 32)
+
+(* The structure a batch's survivors are applied to (documented in the
+   interface). Its operations run once per combined batch or lone
+   operation, and allocate nothing. *)
+module type STORE = sig
+  type 'a t
+
+  val create : Config.t -> aggregators:int -> 'a t
+  val append : 'a t -> agg:int -> patience:int -> 'a node -> 'a node -> unit
+  val detach : 'a t -> agg:int -> patience:int -> int -> 'a node option
+  val pop_alone : 'a t -> agg:int -> 'a node option
+end
+
+module Batched (P : Sec_prim.Prim_intf.S) (S : STORE) = struct
   module A = P.Atomic
   module Backoff = Sec_prim.Backoff.Make (P)
   module Counter = Sec_prim.Striped_counter.Make (P)
   module Mag = Sec_reclaim.Magazine.Make (P)
-
-  type 'a node = {
-    mutable value : 'a;
-        [@plain_ok
-          "written while the node is private to its pusher (fresh, or \
-           recycled after its last reader provably finished); published \
-           by the elimination-slot store or the combiner's CAS on [top]"]
-    mutable next : 'a node option;
-        [@plain_ok
-          "linked while the node is still private to one combiner; \
-           published wholesale by the combiner's release CAS on [top]"]
-  }
 
   type 'a batch = {
     push_count : int A.t;
@@ -110,6 +135,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     exclusive : bool;
         (* only one tid below [capacity] routes here: its freezer need
            not wait for others, and a batch it freezes alone is reused *)
+    index : int; (* position in [aggregators], passed to the store *)
   }
 
   type stats_counters = {
@@ -121,7 +147,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
   }
 
   type 'a t = {
-    top : 'a node option A.t; (* the shared stack (Figure 1, stackTop) *)
+    store : 'a S.t;
     aggregators : 'a aggregator array;
     capacity : int; (* elimination-array size = max_threads *)
     config : Config.t;
@@ -137,8 +163,6 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     win_ops : int A.t; (* operations frozen in the current window *)
     win_batches : int A.t; (* batches frozen in the current window *)
   }
-
-  let name = "SEC"
 
   (* Degree recorded in an aggregator's first batch: no predecessor was
      observed, so its freezer takes the full initial probe. *)
@@ -187,24 +211,25 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
       else config
     in
     Config.validate ~capacity:max_threads config;
+    let k = config.Config.num_aggregators in
     {
-      top = A.make_padded None;
+      store = S.create config ~aggregators:k;
       aggregators =
-        (let k = config.Config.num_aggregators in
-         Array.init k (fun i ->
-             {
-               batch =
-                 A.make_padded
-                   (make_batch max_threads ~prev_degree:unknown_degree
-                      ~prev_freezer:(-1));
-               (* Static routing sends aggregator [i] the tids below
-                  [max_threads] congruent to [i] mod [k]: one exactly
-                  when [i + k >= max_threads]. Adaptive routing changes
-                  [k], so there any tid may land anywhere. *)
-               exclusive =
-                 (if config.Config.adaptive then max_threads = 1
-                  else i + k >= max_threads);
-             }));
+        Array.init k (fun i ->
+            {
+              batch =
+                A.make_padded
+                  (make_batch max_threads ~prev_degree:unknown_degree
+                     ~prev_freezer:(-1));
+              (* Static routing sends aggregator [i] the tids below
+                 [max_threads] congruent to [i] mod [k]: one exactly
+                 when [i + k >= max_threads]. Adaptive routing changes
+                 [k], so there any tid may land anywhere. *)
+              exclusive =
+                (if config.Config.adaptive then max_threads = 1
+                 else i + k >= max_threads);
+              index = i;
+            });
       capacity = max_threads;
       config;
       stats =
@@ -229,7 +254,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
       win_batches = A.make_padded 0;
     }
 
-  let create ?max_threads () = create_with ~config:Config.default ?max_threads ()
+  let store t = t.store
 
   let aggregator_of t tid =
     let k =
@@ -288,11 +313,6 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
         A.set t.active (k - 1)
     end
 
-  (* The freezer's first probe, in relax units. A freezer alone on its
-     aggregator, by routing or as last seen, skips it; see
-     [freezer_backoff] and [pace]. *)
-  let full_probe t = max 512 (t.config.Config.freeze_backoff / 32)
-
   let probe_skipped t ~tid batch =
     t.config.Config.freeze_backoff > 0
     && batch.prev_degree <= 1
@@ -322,7 +342,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
          and the freezer then extends below as before. *)
       let initial =
         if aggregator.exclusive || probe_skipped t ~tid batch then 1
-        else full_probe t
+        else full_probe t.config
       in
       (* If anything else announced during the probe, keep extending in
          windows long enough to cover a contended cross-socket announce —
@@ -463,21 +483,12 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
      - after three failures otherwise: a thread briefly alone on its
        aggregator can land its short operations between the other
        combiners' reads and CASes in lockstep, which starved every big
-       batch for most of one simulated push-only run. *)
+       batch for most of one simulated push-only run.
+     An operation alone in its batch retries like a combiner whose
+     freeze skipped the probe. *)
   let patience t ~tid batch = if probe_skipped t ~tid batch then 1 else 3
 
-  let pace t ~patience ~failed =
-    if failed >= patience then P.relax (1 + P.rand_int (full_probe t))
-
-  let rec push_attempt t bottom substack ~patience ~failed =
-    let current_top = A.get t.top in
-    bottom.next <- current_top;
-    if not (A.compare_and_set t.top current_top (Some substack)) then begin
-      pace t ~patience ~failed;
-      push_attempt t bottom substack ~patience ~failed:(failed + 1)
-    end
-
-  let push_to_stack t ~tid batch ~seq =
+  let push_to_store t ~tid aggregator batch ~seq =
     let push_frozen = A.get batch.push_at_freeze in
     (* Link the surviving pushes [seq .. push_frozen) into a substack:
        higher sequence numbers end up nearer the top. *)
@@ -488,55 +499,17 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
       n.next <- Some !top_of_substack;
       top_of_substack := n
     done;
-    push_attempt t bottom !top_of_substack ~patience:(patience t ~tid batch)
-      ~failed:0
+    S.append t.store ~agg:aggregator.index ~patience:(patience t ~tid batch)
+      bottom !top_of_substack
 
   (* ------------------------------------------------------------------ *)
   (* Combining for pops (paper: PopFromStack + GetValue, lines 80–103)   *)
 
-  let rec pop_attempt t batch to_remove ~patience ~failed =
-    let current_top = A.get t.top in
-    (* Walk down min(to_remove, depth) nodes; the remainder of the batch
-       will observe an empty stack. *)
-    let rec walk node k =
-      if k = 0 then node
-      else match node with None -> None | Some n -> walk n.next (k - 1)
-    in
-    let new_top = walk current_top to_remove in
-    if A.compare_and_set t.top current_top new_top then
-      A.set batch.substack
-        (* [Pop_reorder] is the seeded mutant publishing the remaining
-           stack instead of the detached chain (Config.mutation —
-           refinement-prong tests only). *)
-        (if t.config.Config.mutation = Config.Pop_reorder then new_top
-         else current_top)
-    else begin
-      pace t ~patience ~failed;
-      pop_attempt t batch to_remove ~patience ~failed:(failed + 1)
-    end
-
-  let pop_from_stack t ~tid batch ~seq =
+  let pop_from_store t ~tid aggregator batch ~seq =
     let pop_frozen = A.get batch.pop_at_freeze in
-    pop_attempt t batch (pop_frozen - seq) ~patience:(patience t ~tid batch)
-      ~failed:0
-
-  (* An operation alone in its batch is its own combiner: it unlinks the
-     top node like a Treiber pop, and an empty stack is seen at the read.
-     Like a combiner whose freeze skipped the probe, it paces from its
-     second failed CAS. *)
-  let rec pop_alone t ~tid ~failed =
-    match A.get t.top with
-    | None -> None
-    | Some n as current_top ->
-        if A.compare_and_set t.top current_top n.next then begin
-          let v = n.value in
-          (match t.mag with Some mag -> Mag.recycle mag ~tid n | None -> ());
-          Some v
-        end
-        else begin
-          pace t ~patience:1 ~failed;
-          pop_alone t ~tid ~failed:(failed + 1)
-        end
+    A.set batch.substack
+      (S.detach t.store ~agg:aggregator.index ~patience:(patience t ~tid batch)
+         (pop_frozen - seq))
 
   let get_value batch ~offset =
     let rec walk node k =
@@ -589,6 +562,14 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
         P.note_alloc ();
         ({ value; next = None } [@fresh_ok "recycling disabled in config"])
 
+  (* A pop's value from a node that no one else reads, eliminated or
+     unlinked alone: with recycling on, the node goes straight back to a
+     magazine. *)
+  let take t ~tid n =
+    let v = n.value in
+    (match t.mag with Some mag -> Mag.recycle mag ~tid n | None -> ());
+    Some v
+
   (* The retry loops are top-level functions rather than closures local
      to [push] and [pop]: a local closure would be allocated on every
      operation, with a word for each helper it calls. *)
@@ -615,13 +596,13 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
           ~counter_at_freeze:batch.push_at_freeze
       with
       | Excluded -> push_batch t ~tid aggregator node
-      | Alone -> push_attempt t node node ~patience:1 ~failed:0
+      | Alone -> S.append t.store ~agg:aggregator.index ~patience:1 node node
       | Included ->
           let pop_frozen = A.get batch.pop_at_freeze in
           if seq >= pop_frozen then
             (* Not eliminated; the smallest surviving push combines. *)
             if seq = pop_frozen then begin
-              push_to_stack t ~tid batch ~seq;
+              push_to_store t ~tid aggregator batch ~seq;
               A.set batch.batch_applied true
             end
             else Backoff.spin_until (fun () -> A.get batch.batch_applied)
@@ -644,22 +625,20 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
           ~counter_at_freeze:batch.pop_at_freeze
       with
       | Excluded -> pop_batch t ~tid aggregator
-      | Alone -> pop_alone t ~tid ~failed:0
+      | Alone -> (
+          match S.pop_alone t.store ~agg:aggregator.index with
+          | Some n -> take t ~tid n
+          | None -> None)
       | Included ->
           let push_frozen = A.get batch.push_at_freeze in
           if seq < push_frozen then begin
             (* Eliminated: take the value deposited by the push that
-               shares our sequence number. We are that node's only
-               reader, so with recycling on it goes straight back to a
-               magazine. *)
-            let n = node_of batch seq in
-            let v = n.value in
-            (match t.mag with Some mag -> Mag.recycle mag ~tid n | None -> ());
-            Some v
+               shares our sequence number. *)
+            take t ~tid (node_of batch seq)
           end
           else begin
             if seq = push_frozen then begin
-              pop_from_stack t ~tid batch ~seq;
+              pop_from_store t ~tid aggregator batch ~seq;
               A.set batch.batch_applied true
             end
             else Backoff.spin_until (fun () -> A.get batch.batch_applied);
@@ -679,28 +658,6 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
           end
 
   let pop t ~tid = pop_batch t ~tid (aggregator_of t tid)
-
-  (* With recycling off, a node reachable from [top] is immutable, so one
-     read suffices. With recycling on, the node could be popped, recycled
-     and re-initialised between our load of [top] and our read of
-     [value] — so revalidate that [top] still holds the same option cell
-     afterwards. Every push publishes a fresh [Some] box, so physical
-     equality proves the stack did not move under us (and a node still at
-     the top cannot have been recycled: recycling happens only after the
-     node is unlinked). *)
-  let peek t ~tid:_ =
-    let rec attempt () =
-      match A.get t.top with
-      | None -> None
-      | Some n as cur ->
-          let v = n.value in
-          if Option.is_none t.mag || A.get t.top == cur then Some v
-          else begin
-            P.relax 1;
-            attempt ()
-          end
-    in
-    attempt ()
 
   (* ------------------------------------------------------------------ *)
   (* Introspection                                                       *)
@@ -730,12 +687,116 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     match t.mag with
     | Some mag -> Mag.slab_stats mag
     | None -> Sec_reclaim.Slab.empty_stats
+end
 
-  (* Current depth of the shared stack; O(n), single snapshot of [top],
-     for tests and examples only. *)
-  let depth t =
+(* The stack's store: one Treiber-style stack (the paper's stackTop,
+   Figure 1) that every aggregator's combiners CAS. {!Sec_pool} keeps one
+   per aggregator. *)
+module Shared_top (P : Sec_prim.Prim_intf.S) = struct
+  module A = P.Atomic
+
+  type 'a t = {
+    top : 'a node option A.t;
+    probe : int; (* [full_probe] of the configuration *)
+    reorder : bool; (* the [Pop_reorder] mutant *)
+    recycling : bool; (* nodes may be recycled: [peek] revalidates *)
+  }
+
+  let create config ~aggregators:_ =
+    {
+      top = A.make_padded None;
+      probe = full_probe config;
+      reorder = config.Config.mutation = Config.Pop_reorder;
+      recycling = config.Config.recycle_nodes;
+    }
+
+  let pace s ~patience ~failed =
+    if failed >= patience then P.relax (1 + P.rand_int s.probe)
+
+  let rec push_attempt s bottom substack ~patience ~failed =
+    let current_top = A.get s.top in
+    bottom.next <- current_top;
+    if not (A.compare_and_set s.top current_top (Some substack)) then begin
+      pace s ~patience ~failed;
+      push_attempt s bottom substack ~patience ~failed:(failed + 1)
+    end
+
+  let append s ~agg:_ ~patience bottom top =
+    push_attempt s bottom top ~patience ~failed:0
+
+  let rec pop_attempt s to_remove ~patience ~failed =
+    let current_top = A.get s.top in
+    (* Walk down min(to_remove, depth) nodes; the remainder of the batch
+       will observe an empty stack. *)
+    let rec walk node k =
+      if k = 0 then node
+      else match node with None -> None | Some n -> walk n.next (k - 1)
+    in
+    let new_top = walk current_top to_remove in
+    if A.compare_and_set s.top current_top new_top then
+      (* [Pop_reorder] is the seeded mutant publishing the remaining
+         stack instead of the detached chain (Config.mutation —
+         refinement-prong tests only). *)
+      if s.reorder then new_top else current_top
+    else begin
+      pace s ~patience ~failed;
+      pop_attempt s to_remove ~patience ~failed:(failed + 1)
+    end
+
+  let detach s ~agg:_ ~patience n = pop_attempt s n ~patience ~failed:0
+
+  (* An operation alone in its batch unlinks the top node like a Treiber
+     pop; an empty stack is seen at the read. *)
+  let rec pop_one s ~failed =
+    match A.get s.top with
+    | None -> None
+    | Some n as current_top ->
+        if A.compare_and_set s.top current_top n.next then current_top
+        else begin
+          pace s ~patience:1 ~failed;
+          pop_one s ~failed:(failed + 1)
+        end
+
+  let pop_alone s ~agg:_ = pop_one s ~failed:0
+
+  (* With recycling off, a node reachable from [top] is immutable, so one
+     read suffices. With recycling on, the node could be popped, recycled
+     and re-initialised between our load of [top] and our read of
+     [value] — so revalidate that [top] still holds the same option cell
+     afterwards. Every push publishes a fresh [Some] box, so physical
+     equality proves the stack did not move under us (and a node still at
+     the top cannot have been recycled: recycling happens only after the
+     node is unlinked). *)
+  let peek s =
+    let rec attempt () =
+      match A.get s.top with
+      | None -> None
+      | Some n as cur ->
+          let v = n.value in
+          if (not s.recycling) || A.get s.top == cur then Some v
+          else begin
+            P.relax 1;
+            attempt ()
+          end
+    in
+    attempt ()
+
+  let depth s =
     let rec count node acc =
       match node with None -> acc | Some n -> count n.next (acc + 1)
     in
-    count (A.get t.top) 0
+    count (A.get s.top) 0
+end
+
+module Make (P : Sec_prim.Prim_intf.S) = struct
+  module Store = Shared_top (P)
+  include Batched (P) (Store)
+
+  let name = "SEC"
+  let create ?max_threads () = create_with ~config:Config.default ?max_threads ()
+  let peek t ~tid:_ = Store.peek t.store
+
+  (* Current depth of the shared stack; O(n), single snapshot of [top],
+     for tests and examples only. *)
+  let depth t = Store.depth t.store
 end

@@ -7,6 +7,60 @@
     per-batch combiner with one CAS. See the implementation header for the
     pseudocode mapping. *)
 
+(** A stack node. The batch protocol and its store link nodes through
+    [next] while they are private to one combiner. *)
+type 'a node = { mutable value : 'a; mutable next : 'a node option }
+
+(** The backing store a batch protocol applies its combined batches to.
+    [agg] is the caller's aggregator index and [patience] the number of
+    failed CASes a caller retries at once before pacing. The operations
+    run once per combined batch or lone operation, and may not
+    allocate. *)
+module type STORE = sig
+  type 'a t
+
+  val create : Config.t -> aggregators:int -> 'a t
+
+  (** [append s ~agg ~patience bottom top] publishes the chain linked
+      through [next] from [top] down to [bottom]; the store sets
+      [bottom.next]. A lone push appends the one-node chain. *)
+  val append : 'a t -> agg:int -> patience:int -> 'a node -> 'a node -> unit
+
+  (** [detach s ~agg ~patience n] unlinks up to [n] nodes and returns
+      their chain: walking fewer than [n] steps from its head visits only
+      detached nodes, and ends at [None] once they run out. *)
+  val detach : 'a t -> agg:int -> patience:int -> int -> 'a node option
+
+  (** [pop_alone s ~agg] unlinks one node for an operation alone in its
+      batch and returns its cell, or [None] on an empty store. *)
+  val pop_alone : 'a t -> agg:int -> 'a node option
+end
+
+(** The stack's store: one shared top, the paper's stackTop.
+    {!Sec_pool} keeps one per aggregator. *)
+module Shared_top (_ : Sec_prim.Prim_intf.S) : sig
+  include STORE
+
+  (** The top node's value, revalidated under recycling. *)
+  val peek : 'a t -> 'a option
+
+  (** Nodes in the store; O(n), one snapshot of the top. *)
+  val depth : 'a t -> int
+end
+
+(** The batch protocol — aggregators, announcing, freezing (probe gate,
+    extension window, capacity clamp, lone-batch reuse), elimination and
+    combining — over any backing store. [Make] is this with the stack's
+    single shared top; {!Sec_pool.Make} with one top per aggregator. *)
+module Batched (_ : Sec_prim.Prim_intf.S) (S : STORE) : sig
+  type 'a t
+
+  val create_with : config:Config.t -> ?max_threads:int -> unit -> 'a t
+  val push : 'a t -> tid:int -> 'a -> unit
+  val pop : 'a t -> tid:int -> 'a option
+  val store : 'a t -> 'a S.t
+end
+
 module Make (_ : Sec_prim.Prim_intf.S) : sig
   include Sec_spec.Stack_intf.S
 

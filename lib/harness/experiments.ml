@@ -470,36 +470,6 @@ let ablation_hsynch =
     plan = None;
   }
 
-(* The SEC-style pool as a registry-shaped entry: push/pop only ([peek]
-   is always [None]; none of the pool mixes draw peeks), so it runs
-   through the same unified driver as every stack. *)
-let pool_entry ~aggregators ~label =
-  let module M =
-    functor
-      (P : Sec_prim.Prim_intf.S)
-      ->
-      struct
-        module Pool = Sec_core.Sec_pool.Make (P)
-
-        type 'a t = 'a Pool.t
-
-        let name = label
-
-        let create ?(max_threads = 64) () =
-          Pool.create ~aggregators ~max_threads ()
-
-        let push = Pool.push
-        let pop = Pool.pop
-        let peek _ ~tid:_ = None
-      end
-  in
-  {
-    Registry.name = label;
-    maker = (module M : Registry.MAKER);
-    progress = Registry.Blocking (* SEC combining protocol, same as sec *);
-    spec = Registry.Pool_sem;
-  }
-
 let extension_pool =
   {
     id = "extension-pool";
@@ -513,8 +483,8 @@ let extension_pool =
         in
         let entries =
           [
-            pool_entry ~aggregators:2 ~label:"SEC-pool x2";
-            pool_entry ~aggregators:4 ~label:"SEC-pool x4";
+            Registry.pool_with ~aggregators:2 ~label:"SEC-pool x2";
+            Registry.pool_with ~aggregators:4 ~label:"SEC-pool x4";
             Registry.sec;
             Registry.treiber;
           ]

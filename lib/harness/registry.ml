@@ -195,29 +195,33 @@ let sec_aggregator_sweep =
 
 (* The SEC-style pool behind the common stack interface ([peek] is always
    [None] — pools do not expose it), declared [Pool_sem]: its histories
-   refine a bag, not a LIFO. Kept out of [all] so the stack-only
-   benchmark sets and the progress suite are unchanged; the refinement
-   prong picks it up through [refine_set]. *)
-module Sec_pool_stack (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S =
-struct
-  module Pool = Sec_core.Sec_pool.Make (P)
+   refine a bag, not a LIFO. *)
+let pool_with ~aggregators ~label =
+  let module M (P : Sec_prim.Prim_intf.S) = struct
+    module Pool = Sec_core.Sec_pool.Make (P)
 
-  type 'a t = 'a Pool.t
+    type 'a t = 'a Pool.t
 
-  let name = "SEC-POOL"
-  let create ?(max_threads = 64) () = Pool.create ~max_threads ()
-  let push = Pool.push
-  let pop = Pool.pop
-  let peek _ ~tid:_ = None
-end
+    let name = label
 
-let pool =
+    let create ?(max_threads = 64) () =
+      Pool.create ~aggregators ~max_threads ()
+
+    let push = Pool.push
+    let pop = Pool.pop
+    let peek _ ~tid:_ = None
+  end in
   {
-    name = "SEC-POOL";
-    maker = (module Sec_pool_stack : MAKER);
-    progress = Blocking;
+    name = label;
+    maker = (module M : MAKER);
+    progress = Blocking (* SEC's combining protocol *);
     spec = Pool_sem;
   }
+
+(* Kept out of [all] so the stack-only benchmark sets and the progress
+   suite are unchanged; the refinement prong picks it up through
+   [refine_set]. *)
+let pool = pool_with ~aggregators:2 ~label:"SEC-POOL"
 
 (* Everything the refinement prong checks by default. *)
 let refine_set = all @ [ pool ]

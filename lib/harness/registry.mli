@@ -83,9 +83,13 @@ val all : entry list
 (** SEC_Agg1 .. SEC_Agg5 (Figure 4's self-comparison). *)
 val sec_aggregator_sweep : entry list
 
-(** The SEC-style pool ({!Sec_core.Sec_pool}) behind the stack interface
-    ([peek] is always [None]), declared {!Pool_sem}. Not part of [all]:
-    the stack benchmark sets and the progress suite are unchanged. *)
+(** [pool_with ~aggregators ~label] is the SEC-style pool
+    ({!Sec_core.Sec_pool}) with [aggregators] aggregators behind the
+    stack interface ([peek] is always [None]), declared {!Pool_sem}. *)
+val pool_with : aggregators:int -> label:string -> entry
+
+(** [pool_with ~aggregators:2 ~label:"SEC-POOL"]. Not part of [all]: the
+    stack benchmark sets and the progress suite are unchanged. *)
 val pool : entry
 
 (** [all] plus {!pool} — everything the refinement prong checks by

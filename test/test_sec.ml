@@ -354,53 +354,73 @@ let test_tid_to_aggregator_coverage () =
 module SP = Sec_sim.Sim.Prim
 module SimSec = Sec_core.Sec_stack.Make (SP)
 
+module SimPool = (val Sec_harness.Registry.pool.Sec_harness.Registry.maker) (SP)
+
+(* The stack and the pool share the batch protocol, so both take each
+   lone-fiber check. *)
+let lone_subjects : (module Sec_spec.Stack_intf.S) list =
+  [ (module SimSec); (module SimPool) ]
+
 (* A freezer that froze the aggregator's previous batch alone probes for
    one relax unit instead of 512. One simulated fiber alternating
    push/pop used to spend ~610 virtual cycles per operation, 512 of them
    in that probe; the bound below is under the probe alone. *)
 let test_lone_fiber_skips_probe () =
   let ops = 500 in
-  let cycles, _ =
-    Sec_sim.Sim.run ~seed:1 ~topology:Sec_sim.Topology.emerald (fun () ->
-        let s = SimSec.create_with ~config:Config.default ~max_threads:1 () in
-        let elapsed = ref 0L in
-        Sec_sim.Sim.spawn (fun () ->
-            let start = SP.now_ns () in
-            for i = 1 to ops do
-              SimSec.push s ~tid:0 i;
-              ignore (SimSec.pop s ~tid:0)
-            done;
-            elapsed := Int64.sub (SP.now_ns ()) start);
-        Sec_sim.Sim.await_all ();
-        Int64.to_int !elapsed)
-  in
-  let per_op = cycles / (2 * ops) in
-  Alcotest.(check bool)
-    (Printf.sprintf "%d virtual cycles/op under 150" per_op)
-    true (per_op < 150)
+  List.iter
+    (fun (module S : Sec_spec.Stack_intf.S) ->
+      let cycles, _ =
+        Sec_sim.Sim.run ~seed:1 ~topology:Sec_sim.Topology.emerald (fun () ->
+            let s = S.create ~max_threads:1 () in
+            let elapsed = ref 0L in
+            Sec_sim.Sim.spawn (fun () ->
+                let start = SP.now_ns () in
+                for i = 1 to ops do
+                  S.push s ~tid:0 i;
+                  ignore (S.pop s ~tid:0)
+                done;
+                elapsed := Int64.sub (SP.now_ns ()) start);
+            Sec_sim.Sim.await_all ();
+            Int64.to_int !elapsed)
+      in
+      let per_op = cycles / (2 * ops) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d virtual cycles/op under 150" S.name per_op)
+        true (per_op < 150))
+    lone_subjects
 
 (* On an aggregator that one thread id owns (here [max_threads = 1]), a
    batch frozen with one operation is closed, reset and reopened in place
    instead of being replaced, so a lone fiber builds no batch after
    [create]. [allocs] counts every push's node (recycling is off) plus
    every batch built at a freeze; before the reuse, each of the 1000
-   operations built one. *)
+   operations built one. The node count is a floor: a structure that
+   allocates without counting reads 0 here. *)
 let test_lone_fiber_builds_no_batches () =
   let ops = 1000 in
-  let (), stats =
-    Sec_sim.Sim.run ~seed:1 ~topology:Sec_sim.Topology.emerald (fun () ->
-        let s = SimSec.create_with ~config:Config.default ~max_threads:1 () in
-        Sec_sim.Sim.spawn (fun () ->
-            for i = 1 to ops / 2 do
-              SimSec.push s ~tid:0 i;
-              ignore (SimSec.pop s ~tid:0)
-            done);
-        Sec_sim.Sim.await_all ())
-  in
-  let batches = stats.Sec_sim.Sim.allocs - (ops / 2) in
-  Alcotest.(check bool)
-    (Printf.sprintf "%d batches built, at most 2" batches)
-    true (batches <= 2)
+  List.iter
+    (fun (module S : Sec_spec.Stack_intf.S) ->
+      let (), stats =
+        Sec_sim.Sim.run ~seed:1 ~topology:Sec_sim.Topology.emerald (fun () ->
+            let s = S.create ~max_threads:1 () in
+            Sec_sim.Sim.spawn (fun () ->
+                for i = 1 to ops / 2 do
+                  S.push s ~tid:0 i;
+                  ignore (S.pop s ~tid:0)
+                done);
+            Sec_sim.Sim.await_all ())
+      in
+      let allocs = stats.Sec_sim.Sim.allocs in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d allocations, at least one node per push"
+           S.name allocs)
+        true
+        (allocs >= ops / 2);
+      let batches = allocs - (ops / 2) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d batches built, at most 2" S.name batches)
+        true (batches <= 2))
+    lone_subjects
 
 (* The same natively: one domain alternating push and pop on an
    aggregator it owns allocated about 240 words per operation when each
